@@ -40,9 +40,9 @@ from repro.engine.snapshots import PrefixSnapshot, PrefixSnapshotCache
 from repro.runtime.errors import ExecutionHung, PropertyViolation, TaskCrash
 
 
-def _temporal_verdict(instance: ProgramInstance) -> Optional[DivergenceReport]:
+def _temporal_verdict(temporal_monitors) -> Optional[DivergenceReport]:
     """Consult the instance's temporal liveness monitors at divergence."""
-    for monitor in getattr(instance, "temporal_monitors", ()):
+    for monitor in temporal_monitors:
         message = monitor.verdict()
         if message is not None:
             return DivergenceReport(
@@ -183,7 +183,9 @@ class ExecutorConfig:
     snapshot_memory_mb: int = 64
 
 
-def _sorted_options(values) -> list:
+def sorted_options(values) -> list:
+    """Thread ids in the engine's canonical order (``repr`` order when
+    the ids are not mutually comparable)."""
     try:
         return sorted(values)
     except TypeError:
@@ -269,6 +271,7 @@ def run_execution(
     completion_rng: Optional[random.Random] = None,
     observer=None,
     snapshot_cache: Optional[PrefixSnapshotCache] = None,
+    hook=None,
 ) -> ExecutionResult:
     """Execute the program once under ``policy``, steering with ``chooser``.
 
@@ -284,6 +287,18 @@ def run_execution(
     every ``cache.interval`` transitions.  Cached and uncached runs
     produce identical results; a pruner disables the cache because prefix
     restoration would skip its per-state consultations.
+
+    ``hook`` (:class:`repro.engine.strategies.por.SleepSets`) extends
+    every step outside random completion: ``begin(instance, extras,
+    monitored)`` once, with the restored snapshot's ``extras`` (else
+    None) and whether any monitor watches the execution;
+    ``choices(position, steps, options, enabled)`` before the pick
+    returns the candidates the chooser indexes — an empty list ends the
+    execution as ``VISITED_PRUNED``, and the recorded decision still
+    indexes ``options``, so ``replay_schedule`` reproduces it;
+    ``before_step`` and ``after_step(instance, tid)`` around each
+    transition; ``extras()`` at each snapshot capture; and
+    ``finish(instance, outcome, completed_randomly)`` before teardown.
     """
     if pruner is not None:
         snapshot_cache = None
@@ -325,7 +340,7 @@ def run_execution(
                 if observer is not None:
                     observer.snapshot_restore_timed(elapsed, 0)
     else:
-        for tid in _sorted_options(instance.thread_ids()):
+        for tid in sorted_options(instance.thread_ids()):
             policy.register_thread(tid)
         decisions = []
         trace = deque(maxlen=config.trace_window)
@@ -334,6 +349,13 @@ def run_execution(
         yields = 0
         last_tid = None
         last_was_yield = False
+
+    config_monitors = config.monitors
+    local_monitors = getattr(instance, "monitors", ())
+    temporal_monitors = getattr(instance, "temporal_monitors", ())
+    if hook is not None:
+        hook.begin(instance, restored.extras if restored is not None else None,
+                   bool(config_monitors or local_monitors or temporal_monitors))
 
     if profiler is not None:
         # Cursor into the decision-cost tree: enter at the prefix already
@@ -361,17 +383,15 @@ def run_execution(
     if observer is not None:
         observer.execution_started()
 
-    def current_chooser() -> Chooser:
-        return completion_chooser if completing_randomly else chooser
-
     def data_choice_handler(n: int) -> int:
         nonlocal pnode
+        picker = completion_chooser if completing_randomly else chooser
         if timers is not None:
             t0 = perf_counter()
-            index = current_chooser().pick("data", n)
+            index = picker.pick("data", n)
             timers.add("schedule", perf_counter() - t0)
         else:
-            index = current_chooser().pick("data", n)
+            index = picker.pick("data", n)
         if not completing_randomly:
             decisions.append(Decision("data", index, n, index))
             if profiler is not None:
@@ -426,6 +446,7 @@ def run_execution(
                 last_was_yield=last_was_yield,
                 trace=trace,
                 signatures=(prefix_signatures if track_signatures else None),
+                extras=hook.extras() if hook is not None else None,
             )
             if timers is not None:
                 elapsed = perf_counter() - t0
@@ -474,7 +495,7 @@ def run_execution(
                 # prefix is ordinary progress, only the tail exhibits the
                 # divergence.
                 window = max(16, min(config.divergence_window, steps // 2))
-                divergence = _temporal_verdict(instance) or classify_divergence(
+                divergence = _temporal_verdict(temporal_monitors) or classify_divergence(
                     trace,
                     window=window,
                     gs_schedule_threshold=config.gs_schedule_threshold,
@@ -523,7 +544,7 @@ def run_execution(
             )
 
         # ---- context bounding -----------------------------------------
-        options = _sorted_options(schedulable)
+        options = sorted_options(schedulable)
         switch_costs_preemption = False
         if config.preemption_bound is not None and not completing_randomly:
             if last_tid is not None and last_tid in enabled and not last_was_yield:
@@ -543,12 +564,24 @@ def run_execution(
                     hit_depth_bound = False
                     break
 
+        hooked = hook is not None and not completing_randomly
+        choices = options
+        if hooked:
+            choices = hook.choices(len(decisions), steps, options, enabled)
+            if not choices:
+                # Every candidate sleeps: this execution only permutes
+                # independent transitions of one already explored.
+                outcome = Outcome.VISITED_PRUNED
+                break
+        picker = completion_chooser if completing_randomly else chooser
         if timers is not None:
             t0 = perf_counter()
-            index = current_chooser().pick("thread", len(options))
+            index = picker.pick("thread", len(choices))
             timers.add("schedule", perf_counter() - t0)
         else:
-            index = current_chooser().pick("thread", len(options))
+            index = picker.pick("thread", len(choices))
+        if choices is not options:
+            index = options.index(choices[index])
         if not completing_randomly:
             decisions.append(Decision("thread", index, len(options),
                                       options[index]))
@@ -564,78 +597,50 @@ def run_execution(
             if observer is not None:
                 observer.preemption(steps, last_tid, tid, preemptions)
 
+        if hooked:
+            hook.before_step(instance, tid)
         t0 = perf_counter() if timers is not None else 0.0
         try:
             info = instance.step(tid)
-            for monitor in config.monitors:
+            for monitor in config_monitors:
                 monitor(instance)
-            for local_monitor in getattr(instance, "monitors", ()):
+            for local_monitor in local_monitors:
                 local_monitor()
-            for temporal in getattr(instance, "temporal_monitors", ()):
+            for temporal in temporal_monitors:
                 temporal.observe()
-        except ExecutionHung as exc:
-            outcome = Outcome.ABORTED
-            abort_reason = str(exc)
-            trace.append(TraceStep(tid, thread_name(tid), f"⌛ {exc}", False,
-                                   enabled))
+        except Exception as exc:  # noqa: BLE001 - quarantine boundary
+            if isinstance(exc, ExecutionHung):
+                outcome, abort_reason, mark = Outcome.ABORTED, str(exc), "⌛"
+            elif isinstance(exc, PropertyViolation) and not (
+                    config.capture_crashes and isinstance(exc, TaskCrash)):
+                # Without crash capture a crashing task is a property
+                # violation (TaskCrash subclasses PropertyViolation).
+                outcome, violation, mark = Outcome.VIOLATION, exc, "†"
+            elif config.capture_crashes:
+                outcome, crash, mark = Outcome.CRASHED, exc, "✗ crash:"
+            else:
+                raise
+            trace.append(TraceStep(tid, thread_name(tid), f"{mark} {exc}",
+                                   False, enabled))
             # The faulting transition counts, same as every other terminal
             # path: the thread was scheduled and (partially) executed.
             steps += 1
             if timers is not None:
                 timers.add("execute", perf_counter() - t0)
             if observer is not None:
-                observer.execution_aborted(steps, abort_reason)
-            break
-        except TaskCrash as exc:
-            if not config.capture_crashes:
-                # Legacy behavior: a crashing task is a property violation
-                # (TaskCrash subclasses PropertyViolation).
-                violation = exc
-                outcome = Outcome.VIOLATION
-                trace.append(TraceStep(tid, thread_name(tid), f"† {exc}",
-                                       False, enabled))
-                steps += 1
-                if timers is not None:
-                    timers.add("execute", perf_counter() - t0)
-                if observer is not None:
+                if abort_reason is not None:
+                    observer.execution_aborted(steps, abort_reason)
+                elif violation is not None:
                     observer.violation(steps, str(exc))
-                break
-            crash = exc
-            outcome = Outcome.CRASHED
-            trace.append(TraceStep(tid, thread_name(tid), f"✗ crash: {exc}",
-                                   False, enabled))
-            steps += 1
-            if timers is not None:
-                timers.add("execute", perf_counter() - t0)
-            break
-        except PropertyViolation as exc:
-            violation = exc
-            outcome = Outcome.VIOLATION
-            trace.append(TraceStep(tid, thread_name(tid), f"† {exc}", False,
-                                   enabled))
-            steps += 1
-            if timers is not None:
-                timers.add("execute", perf_counter() - t0)
-            if observer is not None:
-                observer.violation(steps, str(exc))
-            break
-        except Exception as exc:  # noqa: BLE001 - quarantine boundary
-            if not config.capture_crashes:
-                raise
-            crash = exc
-            outcome = Outcome.CRASHED
-            trace.append(TraceStep(tid, thread_name(tid), f"✗ crash: {exc}",
-                                   False, enabled))
-            steps += 1
-            if timers is not None:
-                timers.add("execute", perf_counter() - t0)
             break
 
         if timers is not None:
             timers.add("execute", perf_counter() - t0)
         policy.observe_step(info)
-        trace.append(TraceStep(tid, thread_name(tid), info.operation,
-                               info.yielded, enabled))
+        if hooked:
+            hook.after_step(instance, tid)
+        trace.append(TraceStep(tid, name_cache.get(tid) or thread_name(tid),
+                               info.operation, info.yielded, enabled))
         steps += 1
         last_tid = tid
         last_was_yield = info.yielded
@@ -648,6 +653,8 @@ def run_execution(
             profiler.add_step(pnode, now - pmark)
             pmark = now
 
+    if hook is not None:
+        hook.finish(instance, outcome, completing_randomly)
     if not config.keep_instance:
         closer = getattr(instance, "close", None)
         if closer is not None:

@@ -96,8 +96,7 @@ class PrefixSnapshot:
     #: tracking is on; replayed into the tracker on restore so coverage
     #: totals cannot drift).
     signatures: Optional[Tuple[object, ...]] = None
-    #: Strategy-specific extras (the sleep-set POR loop stores its sleep
-    #: set here).
+    #: The executor hook's extras (POR's sleep sets ride here).
     extras: Dict[str, object] = field(default_factory=dict)
 
     def restore_policy(self, policy: object) -> object:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.engine.coverage import CoverageTracker
+from repro.engine.executor import run_execution
 from repro.engine.results import ExecutionResult, ExplorationResult, Outcome
 from repro.resilience.checkpoint import (
     exploration_from_state,
@@ -181,7 +182,9 @@ class SearchStrategy:
 
     * ``_has_work()`` — is there a next execution to run?
     * ``_run_once()`` — run it (without consuming frontier state that
-      the next checkpoint would need to re-run it);
+      the next checkpoint would need to re-run it); None means the
+      execution turned out to lie outside the strategy's tree (a shard
+      prefix the reduction prunes) and counts for nothing;
     * ``_advance(record)`` — fold the finished execution into the
       frontier (compute the next DFS guide, pop + extend the BFS queue,
       decrement the random budget, ...); runs after *every* execution,
@@ -240,6 +243,13 @@ class SearchStrategy:
     # ------------------------------------------------------------------
     def _has_work(self) -> bool:
         raise NotImplementedError
+
+    def _execute(self, chooser, **options) -> ExecutionResult:
+        """One execution through the shared executor loop
+        (:func:`~repro.engine.executor.run_execution`)."""
+        return run_execution(
+            self.program, self.policy_factory(), chooser, self.config,
+            coverage=self.coverage, observer=self.observer, **options)
 
     def _run_once(self) -> ExecutionResult:
         raise NotImplementedError
@@ -321,6 +331,8 @@ class SearchStrategy:
                         break
                     resilience.maybe_checkpoint(self.root)
                 record = self._run_once()
+                if record is None:
+                    continue  # the frontier's next execution left the tree
                 if record.outcome is Outcome.CRASHED and resilience is not None:
                     resilience.quarantine_crash(self.program, record)
                 stop_reason = aggregator.add(record)

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 from repro.core.model import Program
 from repro.core.policies import PolicyFactory
 from repro.engine.coverage import CoverageTracker
-from repro.engine.executor import ExecutorConfig, GuidedChooser, run_execution
+from repro.engine.executor import ExecutorConfig, GuidedChooser
 from repro.engine.results import ExecutionResult, ExplorationResult
 from repro.engine.snapshots import PrefixSnapshotCache
 from repro.engine.strategies.base import ExplorationLimits, SearchStrategy
@@ -76,15 +76,8 @@ class BfsStrategy(SearchStrategy):
         return bool(self.queue)
 
     def _run_once(self) -> ExecutionResult:
-        return run_execution(
-            self.program,
-            self.policy_factory(),
-            GuidedChooser(self.queue[0]),
-            self.config,
-            coverage=self.coverage,
-            observer=self.observer,
-            snapshot_cache=self.snapshot_cache,
-        )
+        return self._execute(GuidedChooser(self.queue[0]),
+                             snapshot_cache=self.snapshot_cache)
 
     def _advance(self, record: ExecutionResult) -> None:
         guide: List[int] = self.queue.popleft()

@@ -27,12 +27,7 @@ from typing import Callable, List, Optional
 from repro.core.model import Program
 from repro.core.policies import PolicyFactory
 from repro.engine.coverage import CoverageTracker
-from repro.engine.executor import (
-    ExecutorConfig,
-    GuidedChooser,
-    Pruner,
-    run_execution,
-)
+from repro.engine.executor import ExecutorConfig, GuidedChooser, Pruner
 from repro.engine.results import ExecutionResult, ExplorationResult
 from repro.engine.snapshots import PrefixSnapshotCache
 from repro.engine.strategies.base import (
@@ -93,20 +88,16 @@ class DfsStrategy(SearchStrategy):
         return self.guide is not None
 
     def _run_once(self) -> ExecutionResult:
-        return run_execution(
-            self.program,
-            self.policy_factory(),
-            GuidedChooser(self.guide),
-            self.config,
-            coverage=self.coverage,
-            pruner=self.pruner,
+        return self._execute(
+            GuidedChooser(self.guide), pruner=self.pruner,
             completion_rng=self.completion_rng,
-            observer=self.observer,
-            snapshot_cache=self.snapshot_cache,
-        )
+            snapshot_cache=self.snapshot_cache)
+
+    def _next_guide(self, record: ExecutionResult) -> Optional[List[int]]:
+        return next_dfs_guide(record.decisions)
 
     def _advance(self, record: ExecutionResult) -> None:
-        self.guide = next_dfs_guide(record.decisions)
+        self.guide = self._next_guide(record)
         if self.guide is not None and len(self.guide) <= len(self.prefix):
             # Backtracking reached the pinned prefix: the subtree is
             # exhausted (every longer guide shares the prefix, because a

@@ -36,11 +36,15 @@ reversal is not lost, it reappears at a node where the thread is
 schedulable, exactly like the paper's fair scheduler re-enables
 low-priority threads once the spinning thread yields control.
 
-Unlike the other strategies the guide is a list of *thread ids*, not
-decision indices; recorded :class:`~repro.engine.results.Decision`
-entries still index into the full sorted schedulable set, so a DPOR
-record replays with the ordinary ``replay_schedule``/``Checker.replay``
-machinery.
+Every execution runs through the one executor loop
+(:func:`repro.engine.executor.run_execution`) with a :class:`DporWalk`
+hook — the sleep-set hook POR uses, plus the per-step footprints the
+race analysis reads.  The stack replays through an ordinary decision
+guide and the wakeup tail is forced thread by thread, so recorded
+:class:`~repro.engine.results.Decision` entries index the full sorted
+schedulable set and a DPOR record replays with the ordinary
+``replay_schedule``/``Checker.replay`` machinery.  Data choices
+(``choose()``) never race; their values are enumerated per step.
 
 The prefix-snapshot cache is deliberately declined: race detection needs
 the resource footprint of *every* step, and resource sets are
@@ -53,98 +57,61 @@ strategies.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.model import Program, RunStatus
+from repro.core.model import Program
 from repro.core.policies import PolicyFactory
-from repro.engine.classify import classify_divergence
 from repro.engine.coverage import CoverageTracker
-from repro.engine.executor import ExecutorConfig
-from repro.engine.results import (
-    Decision,
-    ExecutionResult,
-    ExplorationResult,
-    Outcome,
-    TraceStep,
+from repro.engine.executor import (
+    ExecutorConfig,
+    GuidedChooser,
+    run_execution,
+    sorted_options,
 )
+from repro.engine.results import ExecutionResult, ExplorationResult, Outcome
 from repro.engine.strategies.base import ExplorationLimits, SearchStrategy
-from repro.runtime.errors import PropertyViolation
-
-Resources = Optional[Tuple]
-
-
-def _sorted(values) -> list:
-    try:
-        return sorted(values)
-    except TypeError:
-        return sorted(values, key=repr)
+from repro.engine.strategies.por import (
+    Resources,
+    SleepSets,
+    bounded_config,
+    dependent as _dependent,
+)
 
 
-def _pending_resources(instance, tid) -> Resources:
-    """Resource footprint of ``tid``'s next transition, or None (unknown).
-
-    VM programs expose it through the pending operation; explicit
-    transition systems through :meth:`pending_resources` when their
-    threads declare footprints (``None`` otherwise — no reduction, every
-    pair conservatively dependent).
-    """
-    getter = getattr(instance, "pending_resources", None)
-    if getter is not None:
-        return getter(tid)
-    tasks = getattr(instance, "task", None)
-    if tasks is None:
-        return None
-    op = tasks(tid).pending
-    return None if op is None else op.resources()
-
-
-def _alive_pending(instance) -> List[Tuple]:
+def _alive_pending(instance, footprint) -> List[Tuple]:
     """``(tid, resources)`` of every thread that has not finished."""
-    out: List[Tuple] = []
     tasks = getattr(instance, "task", None)
     if tasks is not None:
-        for tid in _sorted(instance.thread_ids()):
-            task = tasks(tid)
-            if not task.done and task.pending is not None:
-                out.append((tid, task.pending.resources()))
-        return out
-    live = getattr(instance, "live_threads", None)
-    if live is None:
-        return out
-    getter = getattr(instance, "pending_resources", None)
-    for tid in _sorted(live()):
-        out.append((tid, getter(tid) if getter is not None else None))
-    return out
+        alive = [tid for tid in instance.thread_ids()
+                 if not tasks(tid).done and tasks(tid).pending is not None]
+    else:
+        live = getattr(instance, "live_threads", None)
+        alive = live() if live is not None else ()
+    return [(tid, footprint(tid)) for tid in sorted_options(alive)]
 
 
-def _dependent(res_a: Resources, res_b: Resources) -> bool:
-    """Dependence of two steps of *different* threads by footprint."""
-    if res_a is None or res_b is None:
-        return True
-    return bool(set(res_a) & set(res_b))
+class DporWalk(SleepSets):
+    """The sleep-set hook plus what the race analysis reads: per-step
+    thread, footprint and enabled set, and the pending operations left
+    at the end of the execution.
 
+    ``stack`` nodes replay through the guide; their ``done`` siblings
+    join the sleep set entering the node.  The wakeup ``tail`` beyond
+    the stack is forced thread by thread.
+    """
 
-def _independent_res(res_a: Resources, res_b: Resources) -> bool:
-    return not _dependent(res_a, res_b)
-
-
-class DporRunMeta:
-    """Per-step metadata of one execution, input to the race analysis."""
-
-    __slots__ = ("tids", "resources", "schedulables", "enableds", "sleeps",
-                 "final_pending")
-
-    def __init__(self) -> None:
+    def __init__(self, guide: Sequence[int], stack: Sequence[dict],
+                 tail: Sequence, *, observer=None,
+                 on_final_state: Optional[Callable] = None) -> None:
+        super().__init__(guide, tail=tail, forced_from=len(stack),
+                         observer=observer)
+        self.dones = [node["done"] for node in stack]
+        self.on_final_state = on_final_state
         self.tids: List = []
         self.resources: List[Resources] = []
-        #: Sorted policy-schedulable set at each step (fairness-filtered).
-        self.schedulables: List[list] = []
         #: Raw enabled set at each step — distinguishes a race partner the
         #: fair policy blocked from one the program itself disabled.
         self.enableds: List[frozenset] = []
-        #: Sleep set *entering* each step (inherited ∪ done siblings).
-        self.sleeps: List[frozenset] = []
         #: ``(tid, resources)`` of threads still alive at the end of the
         #: execution — blocked at a deadlock/terminal state, or cut short
         #: by a violation.  Their pending operations never executed, so
@@ -152,115 +119,23 @@ class DporRunMeta:
         #: like FG-DPOR's next-transitions instead.
         self.final_pending: List[Tuple] = []
 
+    def before_step(self, instance, tid) -> None:
+        options, enabled = self._node
+        step = len(self.tids)
+        entering = self.sleep
+        if step < len(self.dones):
+            entering = entering.union(self.dones[step])
+        executed = self._footprint(tid)
+        self.options.append(options)
+        self.sleeps.append(entering)
+        self.tids.append(tid)
+        self.resources.append(executed)
+        self.enableds.append(enabled)
+        self._entering = entering
+        self._executed = executed
 
-def _run_once_dpor(
-    program: Program,
-    policy,
-    schedule: Sequence,
-    dones: Sequence[Set],
-    *,
-    depth_bound: Optional[int],
-    depth_mode: str,
-    config: Optional[ExecutorConfig],
-    coverage: Optional[CoverageTracker],
-    observer=None,
-    on_final_state: Optional[Callable] = None,
-) -> Tuple[ExecutionResult, DporRunMeta]:
-    """One execution forced through ``schedule`` (a list of thread ids).
-
-    ``dones[k]`` holds the siblings already explored at node ``k`` of the
-    current stack; they join the sleep set entering that node, exactly
-    like ``available[:index]`` in the sleep-set walk.
-    """
-    instance = program.instantiate()
-    timers = observer.timers if observer is not None else None
-    for tid in _sorted(instance.thread_ids()):
-        policy.register_thread(tid)
-
-    meta = DporRunMeta()
-    decisions: List[Decision] = []
-    trace: List[TraceStep] = []
-    sleep: Set = set()
-    steps = 0
-    yields = 0
-    violation = None
-    divergence = None
-    hit_depth_bound = False
-    outcome = Outcome.TERMINATED
-    abandoned = False
-    if observer is not None:
-        observer.execution_started()
-
-    while True:
-        if coverage is not None:
-            if timers is not None:
-                t0 = time.perf_counter()
-                coverage.record(instance.state_signature())
-                timers.add("hash", time.perf_counter() - t0)
-            else:
-                coverage.record(instance.state_signature())
-        enabled = instance.enabled_threads()
-        if not enabled:
-            if instance.status() is RunStatus.TERMINATED:
-                outcome = Outcome.TERMINATED
-            else:
-                outcome = Outcome.DEADLOCK
-            # Threads still alive here never executed their pending
-            # operation; it must race like an executed step would
-            # (explicit systems report no-enabled as TERMINATED even
-            # when threads are merely blocked — collect on both paths).
-            meta.final_pending = _alive_pending(instance)
-            break
-        if depth_bound is not None and steps >= depth_bound:
-            hit_depth_bound = True
-            if depth_mode == "divergence":
-                window = max(16, min(
-                    config.divergence_window if config is not None else 256,
-                    steps // 2))
-                divergence = classify_divergence(
-                    trace, window=window,
-                    gs_schedule_threshold=(
-                        config.gs_schedule_threshold
-                        if config is not None else 8),
-                    observer=observer)
-                if observer is not None:
-                    observer.divergence(divergence)
-                outcome = Outcome.DIVERGENCE
-            else:
-                outcome = Outcome.DEPTH_PRUNED
-            break
-        if timers is not None:
-            t0 = time.perf_counter()
-            schedulable = policy.schedulable(enabled)
-            timers.add("policy", time.perf_counter() - t0)
-        else:
-            schedulable = policy.schedulable(enabled)
-        options = _sorted(schedulable)
-        effective_sleep = sleep | (dones[steps] if steps < len(dones)
-                                   else set())
-
-        tid = None
-        if steps < len(schedule) and not abandoned:
-            wanted = schedule[steps]
-            if wanted in schedulable:
-                tid = wanted
-            elif steps < len(dones):
-                # A stack node replays the exact path that produced it;
-                # the chosen thread must still be schedulable there.
-                raise ValueError("dpor replay diverged from its stack")
-            else:
-                # Wakeup tail made infeasible by the policy (fairness
-                # priorities shifted): abandon the rest of the forced
-                # suffix and fall back to the default extension.
-                abandoned = True
-                if observer is not None:
-                    observer.dpor_wakeup_abandoned()
-        if tid is None:
-            for candidate in options:
-                if candidate not in effective_sleep:
-                    tid = candidate
-                    break
-        if tid is None:
+    def finish(self, instance, outcome, completed_randomly: bool) -> None:
+        if outcome is Outcome.VISITED_PRUNED:
             # Everything schedulable is asleep: this branch only permutes
             # independent transitions of an explored execution.  Its
             # *blocked pending* operations are new information though —
@@ -268,71 +143,74 @@ def _run_once_dpor(
             # configuration mid-run (where pending ops are never
             # analyzed) or with different guard values, so a race
             # against a never-executed transition can be visible here
-            # and nowhere else.  Collect them; the insertion guards
-            # drop the redundant ones.
-            outcome = Outcome.VISITED_PRUNED
-            meta.final_pending = _alive_pending(instance)
-            if observer is not None:
-                observer.dpor_sleep_blocked()
-            break
+            # and nowhere else.  The insertion guards drop the redundant
+            # ones.
+            if self.observer is not None:
+                self.observer.dpor_sleep_blocked()
+        if not completed_randomly and outcome in (
+                Outcome.TERMINATED, Outcome.DEADLOCK, Outcome.VISITED_PRUNED,
+                Outcome.VIOLATION, Outcome.CRASHED):
+            # Threads still alive here never executed their pending
+            # operation; it must race like an executed step would
+            # (explicit systems report no-enabled as TERMINATED even
+            # when threads are merely blocked — collect on both paths).
+            # A violating or crashing step did execute.  (A random
+            # completion's final state lies past the analyzed steps.)
+            cut = (self.tids[-1:] if outcome in (Outcome.VIOLATION,
+                                                 Outcome.CRASHED) else ())
+            self.final_pending = [
+                (u, res) for u, res
+                in _alive_pending(instance, self._footprint) if u not in cut]
+        if self.on_final_state is not None and outcome in (
+                Outcome.TERMINATED, Outcome.DEADLOCK):
+            self.on_final_state(instance, outcome)
 
-        executed_res = _pending_resources(instance, tid)
-        meta.tids.append(tid)
-        meta.resources.append(executed_res)
-        meta.schedulables.append(options)
-        meta.enableds.append(frozenset(enabled))
-        meta.sleeps.append(frozenset(effective_sleep))
-        decisions.append(
-            Decision("thread", options.index(tid), len(options), tid))
-        if observer is not None:
-            observer.decision(steps, "thread", options.index(tid),
-                              len(options), tid, len(schedulable),
-                              len(enabled))
 
-        t0 = time.perf_counter() if timers is not None else 0.0
-        try:
-            info = instance.step(tid)
-        except PropertyViolation as exc:
-            violation = exc
-            outcome = Outcome.VIOLATION
-            steps += 1
-            if timers is not None:
-                timers.add("execute", time.perf_counter() - t0)
-            if observer is not None:
-                observer.violation(steps, str(exc))
-            meta.final_pending = [
-                (u, res) for u, res in _alive_pending(instance) if u != tid]
-            break
-        if timers is not None:
-            timers.add("execute", time.perf_counter() - t0)
-        policy.observe_step(info)
-        trace.append(TraceStep(tid, str(tid), info.operation, info.yielded,
-                               enabled))
-        steps += 1
-        if info.yielded:
-            yields += 1
-        sleep = {
-            u for u in effective_sleep
-            if u != tid and _independent_res(_pending_resources(instance, u),
-                                             executed_res)
-        }
+def _run_once_dpor(
+    program: Program,
+    policy,
+    stack: Sequence[dict],
+    tail: Sequence,
+    config: ExecutorConfig,
+    *,
+    coverage: Optional[CoverageTracker] = None,
+    observer=None,
+    on_final_state: Optional[Callable] = None,
+) -> Tuple[ExecutionResult, DporWalk]:
+    """One execution: replay the ``stack`` through the guide, force the
+    wakeup ``tail``, then extend with the first thread not asleep."""
+    guide: List[int] = []
+    for node in stack:
+        guide.append(node["schedulable"].index(node["choice"]))
+        guide.extend(index for index, _ in node["data"])
+    walk = DporWalk(guide, stack, tail, observer=observer,
+                    on_final_state=on_final_state)
+    record = run_execution(program, policy, GuidedChooser(guide), config,
+                           coverage=coverage, observer=observer, hook=walk)
+    return record, walk
 
-    if on_final_state is not None and outcome in (Outcome.TERMINATED,
-                                                  Outcome.DEADLOCK):
-        on_final_state(instance, outcome)
 
-    result = ExecutionResult(
-        outcome=outcome,
-        decisions=decisions,
-        steps=steps,
-        violation=violation,
-        divergence=divergence,
-        trace=tuple(trace[-256:]),
-        hit_depth_bound=hit_depth_bound,
-    )
-    if observer is not None:
-        observer.execution_finished(result, yields=yields)
-    return result, meta
+def _data_per_step(decisions) -> List[List[List[int]]]:
+    """``[index, options]`` of the data choices made inside each step."""
+    per_step: List[List[List[int]]] = []
+    for decision in decisions:
+        if decision.kind == "thread":
+            per_step.append([])
+        else:
+            per_step[-1].append([decision.index, decision.options])
+    return per_step
+
+
+def _next_data(data: List[List[int]]) -> bool:
+    """Advance a step's data choices to their next combination (the
+    deepest choice with an untried value); False when exhausted."""
+    for j in range(len(data) - 1, -1, -1):
+        index, options = data[j]
+        if index + 1 < options:
+            data[j] = [index + 1, options]
+            del data[j + 1:]
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -344,50 +222,67 @@ def _vector_clocks(tids: Sequence, resources: Sequence[Resources]) -> List[Dict]
     clocks: List[Dict] = []
     last_of_thread: Dict = {}
     for j, tid in enumerate(tids):
-        clock: Dict = {}
-        prev = last_of_thread.get(tid)
-        if prev is not None:  # program order
-            clock.update(clocks[prev])
-        for i in range(j - 1, -1, -1):
-            if tids[i] == tid:
-                continue
-            if clock.get(tids[i], -1) >= i:
-                continue  # already ordered transitively
-            if _dependent(resources[i], resources[j]):
-                for t, v in clocks[i].items():
-                    if clock.get(t, -1) < v:
-                        clock[t] = v
-                if clock.get(tids[i], -1) < i:
-                    clock[tids[i]] = i
-        clock[tid] = j
-        clocks.append(clock)
+        clocks.append(_step_clock(tids, resources, clocks, j,
+                                  last_of_thread.get(tid)))
         last_of_thread[tid] = j
     return clocks
 
 
-def _races(tids: Sequence, resources: Sequence[Resources],
-           clocks: Sequence[Dict]) -> List[Tuple[int, int]]:
-    """Happens-before-adjacent dependent pairs of different threads.
+def _step_clock(tids: Sequence, resources: Sequence[Resources],
+                clocks: Sequence[Dict], j: int, prev: Optional[int]) -> Dict:
+    """Vector clock of step ``j``: program-order after ``prev`` (its
+    thread's previous step, if any), dependence-after every earlier step
+    that touches its footprint."""
+    tid, res = tids[j], resources[j]
+    clock: Dict = dict(clocks[prev]) if prev is not None else {}
+    for i in range(j - 1, -1, -1):
+        if tids[i] == tid:
+            continue
+        if clock.get(tids[i], -1) >= i:
+            continue  # already ordered transitively
+        if _dependent(resources[i], res):
+            for t, v in clocks[i].items():
+                if clock.get(t, -1) < v:
+                    clock[t] = v
+            if clock.get(tids[i], -1) < i:
+                clock[tids[i]] = i
+    clock[tid] = j
+    return clock
+
+
+def _adjacent(tids: Sequence, resources: Sequence[Resources],
+              clocks: Sequence[Dict], j: int) -> List[int]:
+    """Race partners of step ``j``: the happens-before-adjacent dependent
+    steps of other threads, nearest first.
 
     Scanning predecessors of ``j`` from nearest to farthest, a ``covered``
     clock accumulates everything reachable through an already-visited
     predecessor; a dependent pair only races when ``i`` reaches ``j``
     *directly*, not through an intermediate step.
     """
-    races: List[Tuple[int, int]] = []
-    for j in range(len(tids)):
-        covered: Dict = {}
-        for i in range(j - 1, -1, -1):
-            if clocks[j].get(tids[i], -1) < i:
-                continue  # concurrent with j: no edge to reverse
-            if covered.get(tids[i], -1) >= i:
-                continue  # reaches j only through a later step
-            if tids[i] != tids[j] and _dependent(resources[i], resources[j]):
-                races.append((i, j))
-            for t, v in clocks[i].items():
-                if covered.get(t, -1) < v:
-                    covered[t] = v
-    return races
+    tid, res = tids[j], resources[j]
+    reaches = clocks[j].get
+    covered: Dict = {}
+    partners: List[int] = []
+    for i in range(j - 1, -1, -1):
+        other = tids[i]
+        if reaches(other, -1) < i:
+            continue  # concurrent with j: no edge to reverse
+        if covered.get(other, -1) >= i:
+            continue  # reaches j only through a later step
+        if other != tid and _dependent(resources[i], res):
+            partners.append(i)
+        for t, v in clocks[i].items():
+            if covered.get(t, -1) < v:
+                covered[t] = v
+    return partners
+
+
+def _races(tids: Sequence, resources: Sequence[Resources],
+           clocks: Sequence[Dict]) -> List[Tuple[int, int]]:
+    """Happens-before-adjacent dependent pairs of different threads."""
+    return [(i, j) for j in range(len(tids))
+            for i in _adjacent(tids, resources, clocks, j)]
 
 
 def _weak_initials(seq_tids: Sequence, seq_res: Sequence[Resources]) -> List:
@@ -418,73 +313,18 @@ def _wakeup_sequence(i: int, j: int, tids: Sequence,
     return idxs, initials
 
 
-def _pending_clock(tids: Sequence, resources: Sequence[Resources],
-                   clocks: Sequence[Dict], u, res_u: Resources) -> Dict:
-    """Vector clock of thread ``u``'s never-executed pending transition:
-    program-order after all of ``u``'s executed steps, dependence-after
-    every executed step that touches its footprint."""
-    clock: Dict = {}
-    last = None
-    for k in range(len(tids) - 1, -1, -1):
-        if tids[k] == u:
-            last = k
-            break
-    if last is not None:
-        clock.update(clocks[last])
-    for i in range(len(tids) - 1, -1, -1):
-        if tids[i] == u:
-            continue
-        if clock.get(tids[i], -1) >= i:
-            continue
-        if _dependent(resources[i], res_u):
-            for t, v in clocks[i].items():
-                if clock.get(t, -1) < v:
-                    clock[t] = v
-            if clock.get(tids[i], -1) < i:
-                clock[tids[i]] = i
-    if last is not None:
-        clock[u] = last
-    return clock
-
-
-def _pending_races(tids: Sequence, resources: Sequence[Resources],
-                   clocks: Sequence[Dict], u, res_u: Resources) -> List[int]:
-    """hb-adjacent executed race partners of the pending transition,
-    latest first — :func:`_races` for a virtual final step of ``u``.
-
-    The covered-scan matters: a step hidden behind one of ``u``'s own
-    executed steps (or any other hb-intermediate) is not adjacent, and
-    reversing against it directly would schedule the *wrong* transition
-    of ``u`` — the surviving partners have none of ``u``'s steps
-    happening after them, so the wakeup sequence ``notdep(i)`` carries
-    every executed step of ``u`` and the forced run re-arms exactly the
-    pending operation."""
-    jclock = _pending_clock(tids, resources, clocks, u, res_u)
-    partners: List[int] = []
-    covered: Dict = {}
-    for i in range(len(tids) - 1, -1, -1):
-        if jclock.get(tids[i], -1) < i:
-            continue  # concurrent with the pending op
-        if covered.get(tids[i], -1) >= i:
-            continue  # reaches it only through a later step
-        if tids[i] != u and _dependent(resources[i], res_u):
-            partners.append(i)
-        for t, v in clocks[i].items():
-            if covered.get(t, -1) < v:
-                covered[t] = v
-    return partners
-
-
 class DporStrategy(SearchStrategy):
     """Source-DPOR with wakeup trees.
 
     The frontier is an explicit stack of nodes along the last execution:
     each carries the branch currently being explored (``choice``), the
-    siblings already finished there (``done``), the sleep set it was
-    entered with (``inherited``), the policy-schedulable set observed
-    there, and the queued wakeup sequences.  Backtracking pops the
-    deepest node with a queued sequence and forces its tids verbatim —
-    the wakeup *tail* beyond the stack — so the reversal is reached
+    data choices made inside that step (``data``), the siblings already
+    finished there (``done``), the options the chooser indexed there
+    (``schedulable``), and the queued wakeup sequences.  Backtracking
+    first tries the next data value of the deepest step that has one
+    (data nondeterminism is explored exhaustively, like DFS), then pops
+    the deepest node with a queued sequence and forces its tids verbatim
+    — the wakeup *tail* beyond the stack — so the reversal is reached
     without re-exploring the sleep-blocked permutations in between.
     """
 
@@ -508,7 +348,7 @@ class DporStrategy(SearchStrategy):
         super().__init__(
             program,
             policy_factory,
-            config,
+            bounded_config(config, depth_bound),
             limits,
             coverage=coverage,
             listener=listener,
@@ -520,20 +360,13 @@ class DporStrategy(SearchStrategy):
                 "source-DPOR cannot be confined to a decision prefix: "
                 "backtrack points are discovered dynamically and may land "
                 "inside any prefix; parallel plans use a single shard")
-        if depth_bound is None and config is not None:
-            depth_bound = config.depth_bound
-        self.depth_bound = depth_bound
-        mode = config.on_depth_exceeded if config is not None else "prune"
-        #: Random completion makes executions non-reproducible across the
-        #: race analysis; bounded DPOR prunes at the bound instead.
-        self.depth_mode = "divergence" if mode == "divergence" else "prune"
         self.on_final_state = on_final_state
         #: One dict per node of the current exploration path.
         self.stack: List[dict] = []
         #: Forced wakeup-sequence suffix beyond the stack.
         self.tail: List = []
         self.exhausted = False
-        self._last_meta: Optional[DporRunMeta] = None
+        self._walk: Optional[DporWalk] = None
 
     def strategy_label(self) -> str:
         return "source-dpor"
@@ -543,41 +376,35 @@ class DporStrategy(SearchStrategy):
         return not self.exhausted
 
     def _run_once(self) -> ExecutionResult:
-        schedule = [node["choice"] for node in self.stack] + list(self.tail)
-        dones = [set(node["done"]) for node in self.stack]
-        record, meta = _run_once_dpor(
+        record, self._walk = _run_once_dpor(
             self.program,
             self.policy_factory(),
-            schedule,
-            dones,
-            depth_bound=self.depth_bound,
-            depth_mode=self.depth_mode,
-            config=self.config,
+            self.stack,
+            self.tail,
+            self.config,
             coverage=self.coverage,
             observer=self.observer,
             on_final_state=self.on_final_state,
         )
-        self._last_meta = meta
         return record
 
     def _advance(self, record: ExecutionResult) -> None:
-        meta, self._last_meta = self._last_meta, None
-        if meta is None:
-            self.exhausted = True
-            return
-        del self.stack[len(meta.tids):]  # defensive; replay covers stack
-        for k in range(len(self.stack), len(meta.tids)):
+        walk, self._walk = self._walk, None
+        del self.stack[len(walk.tids):]  # defensive; replay covers stack
+        data = _data_per_step(record.decisions)
+        for k in range(len(self.stack), len(walk.tids)):
             self.stack.append({
-                "choice": meta.tids[k],
-                "inherited": _sorted(meta.sleeps[k]),
+                "choice": walk.tids[k],
                 "done": [],
                 "wakeups": [],
-                "schedulable": list(meta.schedulables[k]),
+                "schedulable": list(walk.options[k]),
             })
-        self._insert_backtracks(meta)
+        for node, chosen in zip(self.stack, data):
+            node["data"] = chosen
+        self._insert_backtracks(walk)
         self._backtrack()
 
-    def _insert_backtracks(self, meta: DporRunMeta) -> None:
+    def _insert_backtracks(self, meta: DporWalk) -> None:
         tids, resources = meta.tids, meta.resources
         if not tids:
             return
@@ -585,71 +412,58 @@ class DporStrategy(SearchStrategy):
         for i, j in _races(tids, resources, clocks):
             if self.observer is not None:
                 self.observer.dpor_race_detected()
-            status = self._try_insert(meta, clocks, i, j)
-            # Lock handover: when the racing thread is *disabled* at node
-            # ``i`` (a release/acquire pair — the acquire can never move
-            # before the release), the reversal that exists is handing
-            # the whole critical section over, i.e. scheduling ``j``
-            # before the earlier dependent step of another thread
-            # (typically the matching acquire).  Walk back to it.
-            back = i
-            while status == "disabled":
-                back = next(
-                    (k for k in range(back - 1, -1, -1)
-                     if tids[k] != tids[j]
-                     and _dependent(resources[k], resources[j])),
-                    None)
-                if back is None:
-                    if self.observer is not None:
-                        self.observer.dpor_wakeup_pruned()
-                    break
-                status = self._try_insert(meta, clocks, back, j)
-                if status == "inserted" and self.observer is not None:
-                    self.observer.dpor_handover()
+            self._reverse(meta, tids, resources, clocks, i, j)
         # A violation or blocking cut this execution short: threads with
         # a pending-but-never-executed operation race against the
         # executed steps they depend on, like FG-DPOR's next-transition
         # rule.  Without this, the branches behind a first violation (or
-        # a blocked lock attempt) would never be scheduled at all.
+        # a blocked lock attempt) would never be scheduled at all.  The
+        # pending operation races as a virtual final step of its thread.
+        # Its partners have none of the thread's own steps happening
+        # after them (the covered-scan of :func:`_adjacent`), so the
+        # wakeup sequence carries every executed step of the thread and
+        # the forced run re-arms exactly the pending operation.
+        end = len(tids)
+        last_of_thread = {tid: k for k, tid in enumerate(tids)}
         for u, res_u in meta.final_pending:
-            partners = _pending_races(tids, resources, clocks, u, res_u)
-            if not partners:
-                continue
-            if self.observer is not None:
+            vtids, vres = list(tids) + [u], list(resources) + [res_u]
+            vclocks = list(clocks)
+            vclocks.append(_step_clock(vtids, vres, clocks, end,
+                                       last_of_thread.get(u)))
+            partners = _adjacent(vtids, vres, vclocks, end)
+            if partners and self.observer is not None:
                 self.observer.dpor_race_detected()
             for i in partners:
-                status = self._try_insert_pending(meta, clocks, i, u, res_u)
-                back = i
-                while status == "disabled":
-                    back = next(
-                        (k for k in range(back - 1, -1, -1)
-                         if tids[k] != u
-                         and _dependent(resources[k], res_u)),
-                        None)
-                    if back is None:
-                        if self.observer is not None:
-                            self.observer.dpor_wakeup_pruned()
-                        break
-                    status = self._try_insert_pending(
-                        meta, clocks, back, u, res_u)
-                    if status == "inserted" and self.observer is not None:
-                        self.observer.dpor_handover()
+                self._reverse(meta, vtids, vres, vclocks, i, end)
 
-    def _try_insert_pending(self, meta: DporRunMeta, clocks, i: int,
-                            u, res_u: Resources) -> str:
-        """Queue the reversal of the race between step ``i`` and thread
-        ``u``'s never-executed pending transition: the steps after ``i``
-        that do not happen-after it — which include every executed step
-        of ``u``, so the forced run re-arms exactly the pending
-        operation — then ``u`` itself."""
-        tids, resources = meta.tids, meta.resources
-        idxs = [k for k in range(i + 1, len(tids))
-                if clocks[k].get(tids[i], -1) < i]
-        seq = [tids[k] for k in idxs] + [u]
-        seq_res = [resources[k] for k in idxs] + [res_u]
-        return self._queue_wakeup(meta, i, seq, _weak_initials(seq, seq_res))
+    def _reverse(self, meta: DporWalk, tids, resources, clocks, i: int,
+                 j: int) -> None:
+        """Queue the reversal of race ``(i, j)``."""
+        status = self._queue_wakeup(meta, tids, resources, clocks, i, j)
+        # Lock handover: when the racing thread is *disabled* at node
+        # ``i`` (a release/acquire pair — the acquire can never move
+        # before the release), the reversal that exists is handing the
+        # whole critical section over, i.e. scheduling ``j`` before the
+        # earlier dependent step of another thread (typically the
+        # matching acquire).  Walk back to it.
+        back = i
+        while status == "disabled":
+            back = next(
+                (k for k in range(back - 1, -1, -1)
+                 if tids[k] != tids[j]
+                 and _dependent(resources[k], resources[j])),
+                None)
+            if back is None:
+                if self.observer is not None:
+                    self.observer.dpor_wakeup_pruned()
+                break
+            status = self._queue_wakeup(meta, tids, resources, clocks, back,
+                                       j)
+            if status == "inserted" and self.observer is not None:
+                self.observer.dpor_handover()
 
-    def _try_insert(self, meta: DporRunMeta, clocks, i: int, j: int) -> str:
+    def _queue_wakeup(self, meta: DporWalk, tids, resources, clocks,
+                      i: int, j: int) -> str:
         """Queue the wakeup sequence for race ``(i, j)`` at node ``i``.
 
         Returns ``"inserted"``, ``"pruned"`` (redundant — an equivalent
@@ -657,12 +471,7 @@ class DporStrategy(SearchStrategy):
         (every viable initial is fairness-blocked), or ``"disabled"``
         (the racing thread is not even enabled there — handover needed).
         """
-        tids, resources = meta.tids, meta.resources
         idxs, initials = _wakeup_sequence(i, j, tids, resources, clocks)
-        return self._queue_wakeup(meta, i, [tids[k] for k in idxs], initials)
-
-    def _queue_wakeup(self, meta: DporRunMeta, i: int, seq: List,
-                      initials: List) -> str:
         node = self.stack[i]
         wi = set(initials)
         if wi & meta.sleeps[i]:
@@ -677,7 +486,7 @@ class DporStrategy(SearchStrategy):
                 self.observer.dpor_wakeup_pruned()
             return "pruned"
         schedulable = set(node["schedulable"])
-        order = list(seq)
+        order = [tids[k] for k in idxs]
         if order[0] not in schedulable:
             # Any weak initial commutes to the front of the sequence.
             front = next((t for t in initials if t in schedulable), None)
@@ -698,10 +507,15 @@ class DporStrategy(SearchStrategy):
     def _backtrack(self) -> None:
         for k in range(len(self.stack) - 1, -1, -1):
             node = self.stack[k]
+            if _next_data(node["data"]):
+                del self.stack[k + 1:]
+                self.tail = []
+                return
             node["done"].append(node["choice"])
             if node["wakeups"]:
                 sequence = node["wakeups"].pop(0)
                 node["choice"] = sequence[0]
+                node["data"] = []
                 del self.stack[k + 1:]
                 self.tail = list(sequence[1:])
                 return
@@ -719,14 +533,13 @@ class DporStrategy(SearchStrategy):
             "stack": [dict(node) for node in self.stack],
             "tail": list(self.tail),
             "exhausted": self.exhausted,
-            "depth_bound": self.depth_bound,
         }
 
     def _load_frontier(self, state: dict) -> None:
         self.stack = [
             {
                 "choice": node["choice"],
-                "inherited": list(node.get("inherited", [])),
+                "data": [list(d) for d in node.get("data", [])],
                 "done": list(node.get("done", [])),
                 "wakeups": [list(w) for w in node.get("wakeups", [])],
                 "schedulable": list(node.get("schedulable", [])),
@@ -735,7 +548,6 @@ class DporStrategy(SearchStrategy):
         ]
         self.tail = list(state.get("tail", []))
         self.exhausted = bool(state.get("exhausted", False))
-        self.depth_bound = state.get("depth_bound", self.depth_bound)
 
 
 def explore_source_dpor(

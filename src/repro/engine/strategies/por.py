@@ -18,263 +18,196 @@ classic sleep-set algorithm (Godefroid) on top of the stateless engine:
 Sleep sets preserve deadlocks and safety violations.  Soundness relies on
 the runtime contract that all shared effects go through operations (plain
 Python code between scheduling points is thread-local) — the same
-contract the precise-signature machinery uses.
+contract the precise-signature machinery uses.  A safety or temporal
+monitor reads shared state after every step, outside any footprint, so
+an execution with monitors treats every pair of steps as dependent.
 
-Because the search is stateless, the sleep sets along a replayed prefix
-are recomputed deterministically from the guide: at a decision with
-chosen index ``k``, the already-explored siblings are exactly
-``available[:k]``.
+The sleep sets ride along the one executor loop
+(:func:`repro.engine.executor.run_execution`) as a :class:`SleepSets`
+hook, which source-DPOR (:mod:`repro.engine.strategies.dpor`) shares.
+Decisions index the full sorted schedulable set, as every strategy's do,
+so any record replays with ``replay_schedule``.  Because the search is
+stateless, the sleep sets along a replayed prefix are recomputed from the
+guide: at a decision with chosen index ``k``, the already-explored
+siblings are exactly ``options[:k]``.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, List, Optional, Set
+import dataclasses
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.chaos.faults import InjectedFault, fault_at
-from repro.core.model import Program, RunStatus
+from repro.core.model import Program
 from repro.core.policies import PolicyFactory
 from repro.engine.coverage import CoverageTracker
-from repro.engine.executor import ExecutorConfig
-from repro.engine.results import Decision, ExecutionResult, ExplorationResult, Outcome, TraceStep
-from repro.engine.snapshots import PrefixSnapshotCache
-from repro.engine.strategies.base import (
-    ExplorationLimits,
-    SearchStrategy,
-    next_dfs_guide,
-)
-from repro.runtime.errors import PropertyViolation
+from repro.engine.executor import ExecutorConfig, GuidedChooser
+from repro.engine.results import ExecutionResult, ExplorationResult
+from repro.engine.strategies.base import ExplorationLimits
+from repro.engine.strategies.dfs import DfsStrategy
+
+Resources = Optional[Tuple]
 
 
-def _independent(op_a, op_b) -> bool:
-    """Independence of two pending operations of *different* threads."""
-    resources_a = op_a.resources() if op_a is not None else None
-    if resources_a is None:
-        return False
-    resources_b = op_b.resources() if op_b is not None else None
-    if resources_b is None:
-        return False
-    return not (set(resources_a) & set(resources_b))
+def footprints(instance) -> Callable[[object], Resources]:
+    """Per-thread resource footprint of the next transition in
+    ``instance`` (None = unknown).
+
+    VM programs expose it through the pending operation; explicit
+    transition systems through :meth:`pending_resources` when their
+    threads declare footprints (``None`` otherwise — no reduction, every
+    pair conservatively dependent).
+    """
+    getter = getattr(instance, "pending_resources", None)
+    if getter is not None:
+        return getter
+    tasks = getattr(instance, "task", None)
+    if tasks is None:
+        return _unknown_footprint
+
+    def footprint(tid) -> Resources:
+        op = tasks(tid).pending
+        return None if op is None else op.resources()
+
+    return footprint
 
 
-def _pending_op(instance, tid):
-    getter = getattr(instance, "task", None)
-    if getter is None:
-        return None  # explicit systems: no op objects — no reduction
-    return getter(tid).pending
+def dependent(res_a: Resources, res_b: Resources) -> bool:
+    """Dependence of two steps of *different* threads by footprint."""
+    if res_a is None or res_b is None:
+        return True
+    return bool(set(res_a) & set(res_b))
 
 
-def _sorted(values) -> list:
-    try:
-        return sorted(values)
-    except TypeError:
-        return sorted(values, key=repr)
+def _unknown_footprint(tid) -> Resources:
+    return None
 
 
-def _run_once_with_sleep(
-    program: Program,
-    policy,
-    guide: List[int],
-    *,
-    depth_bound: Optional[int],
-    coverage: Optional[CoverageTracker],
-    observer=None,
-    snapshot_cache: Optional[PrefixSnapshotCache] = None,
-) -> ExecutionResult:
-    """One execution with sleep sets carried along the path."""
-    instance = program.instantiate()
-    timers = observer.timers if observer is not None else None
-    profiler = observer.profiler if observer is not None else None
-
-    # Prefix-snapshot restore (docs/performance.md): the sleep set at the
-    # snapshot point rides along in the entry's extras, and the restored
-    # fast-forward skips local monitors because this loop never runs them.
-    restored = None
-    if snapshot_cache is not None and hasattr(instance, "fast_forward"):
-        t0 = time.perf_counter() if timers is not None else 0.0
-        restored = snapshot_cache.lookup(
-            guide, need_signatures=coverage is not None)
-        if restored is not None:
-            try:
-                rule = fault_at("snapshot.restore", steps=restored.steps)
-                if rule is not None:
-                    raise InjectedFault(
-                        f"injected snapshot.restore fault ({rule.kind})")
-                instance.fast_forward(restored.decisions, run_monitors=False)
-            except Exception:  # noqa: BLE001 - determinism-contract guard
-                snapshot_cache.clear(failure=True)
-                closer = getattr(instance, "close", None)
-                if closer is not None:
-                    closer()
-                instance = program.instantiate()
-                restored = None
-        if timers is not None:
-            timers.add("snapshot", time.perf_counter() - t0)
-        if observer is not None:
-            observer.snapshot_lookup(
-                restored is not None,
-                restored.steps if restored is not None else 0)
-
-    if restored is not None:
-        policy = restored.restore_policy(policy)
-        decisions: List[Decision] = list(restored.decisions)
-        trace: List[TraceStep] = list(restored.trace)
-        sleep: Set = set(restored.extras.get("sleep", ()))
-        cursor = len(restored.decisions)
-        steps = restored.steps
-        yields = restored.yields
-        if coverage is not None and restored.signatures:
-            for signature in restored.signatures:
-                coverage.record(signature)
-    else:
-        for tid in _sorted(instance.thread_ids()):
-            policy.register_thread(tid)
-        decisions = []
-        trace = []
-        sleep = set()
-        cursor = 0
-        steps = 0
-        yields = 0
-
-    if profiler is not None:
-        pnode = profiler.enter(d.index for d in decisions)
-        pmark = time.perf_counter()
-    else:
-        pnode = None
-        pmark = 0.0
-
-    track_signatures = snapshot_cache is not None and coverage is not None
-    prefix_signatures: List = (list(restored.signatures or ())
-                               if restored is not None else [])
-    violation = None
-    outcome = Outcome.TERMINATED
-    if observer is not None:
-        observer.execution_started()
-
-    while True:
-        if (snapshot_cache is not None and steps > 0
-                and steps % snapshot_cache.interval == 0):
-            t0 = time.perf_counter() if timers is not None else 0.0
-            snapshot_cache.capture(
-                decisions=decisions,
-                steps=steps,
-                policy=policy,
-                yields=yields,
-                trace=trace[-256:],
-                signatures=(prefix_signatures if track_signatures else None),
-                extras={"sleep": frozenset(sleep)},
-            )
-            if timers is not None:
-                timers.add("snapshot", time.perf_counter() - t0)
-        if coverage is not None:
-            if timers is not None:
-                t0 = time.perf_counter()
-                signature = instance.state_signature()
-                coverage.record(signature)
-                timers.add("hash", time.perf_counter() - t0)
-            else:
-                signature = instance.state_signature()
-                coverage.record(signature)
-            if track_signatures:
-                prefix_signatures.append(signature)
-        enabled = instance.enabled_threads()
-        if not enabled:
-            outcome = (Outcome.TERMINATED
-                       if instance.status() is RunStatus.TERMINATED
-                       else Outcome.DEADLOCK)
-            break
-        if depth_bound is not None and steps >= depth_bound:
-            outcome = Outcome.DEPTH_PRUNED
-            break
-        if timers is not None:
-            t0 = time.perf_counter()
-            schedulable = policy.schedulable(enabled)
-            timers.add("policy", time.perf_counter() - t0)
-            state = getattr(policy, "algorithm_state", None)
-            if state is not None:
-                observer.priority_relation(state.priority.edge_count())
-        else:
-            schedulable = policy.schedulable(enabled)
-        available = [t for t in _sorted(schedulable) if t not in sleep]
-        if not available:
-            # Everything schedulable is asleep: this execution is a
-            # redundant permutation of one already explored.
-            outcome = Outcome.VISITED_PRUNED
-            break
-        if cursor < len(guide):
-            index = guide[cursor]
-            if not 0 <= index < len(available):
-                raise ValueError("sleep-set replay diverged from guide")
-        else:
-            index = 0
-        cursor += 1
-        tid = available[index]
-        decisions.append(Decision("thread", index, len(available), tid))
-        if profiler is not None:
-            pnode = profiler.descend(pnode, index)
-        if observer is not None:
-            observer.decision(steps, "thread", index, len(available), tid,
-                              len(schedulable), len(enabled))
-
-        executed_op = _pending_op(instance, tid)
-        # Sleep set of the child: previously sleeping threads plus the
-        # already-explored siblings, kept only while independent of the
-        # executed transition.
-        inherited = sleep | set(available[:index])
-        t0 = time.perf_counter() if timers is not None else 0.0
-        try:
-            info = instance.step(tid)
-        except PropertyViolation as exc:
-            violation = exc
-            outcome = Outcome.VIOLATION
-            steps += 1
-            if timers is not None:
-                timers.add("execute", time.perf_counter() - t0)
-            if observer is not None:
-                observer.violation(steps, str(exc))
-            break
-        if timers is not None:
-            timers.add("execute", time.perf_counter() - t0)
-        policy.observe_step(info)
-        trace.append(TraceStep(tid, str(tid), info.operation, info.yielded,
-                               enabled))
-        steps += 1
-        if observer is not None and info.yielded:
-            yields += 1
-        sleep = {
-            u for u in inherited
-            if u != tid and _independent(_pending_op(instance, u),
-                                         executed_op)
-        }
-        if profiler is not None:
-            now = time.perf_counter()
-            profiler.add_step(pnode, now - pmark)
-            pmark = now
-
-    result = ExecutionResult(
-        outcome=outcome,
-        decisions=decisions,
-        steps=steps,
-        violation=violation,
-        trace=tuple(trace[-256:]),
-    )
-    if profiler is not None:
-        profiler.finish_execution(pnode, time.perf_counter() - pmark)
-    if observer is not None:
-        if guide:
-            limit = min(len(guide), len(decisions))
-            replayed = limit - (restored.steps if restored is not None else 0)
-            observer.prefix_replayed(max(0, replayed))
-        observer.execution_finished(result, yields=yields)
-    return result
+def bounded_config(config: Optional[ExecutorConfig],
+                   depth_bound: Optional[int]) -> ExecutorConfig:
+    """The executor configuration of a partial-order strategy: without a
+    ``config`` the depth bound prunes, as the reducers always have."""
+    config = config or ExecutorConfig(on_depth_exceeded="prune")
+    if depth_bound is None:
+        return config
+    return dataclasses.replace(config, depth_bound=depth_bound)
 
 
-class SleepSetStrategy(SearchStrategy):
+class SleepSets:
+    """:func:`~repro.engine.executor.run_execution` hook carrying sleep
+    sets along one execution.
+
+    ``guide`` is the decision-index prefix the chooser replays.  Inside
+    it the chooser decides.  Beyond it, a ``tail`` of thread ids starting
+    at step ``forced_from`` is forced one step at a time (DPOR's wakeup
+    sequences) until a forced thread is not among the options; after
+    that the candidates are the options not asleep, so the chooser's
+    default (index 0) takes the first of them.  Per executed step the
+    hook records the options the chooser indexed and the sleep set
+    entering that node (inherited plus the siblings already explored
+    there).
+
+    ``pinned`` is the length of a shard prefix.  A pinned decision can
+    name a sleeping thread — the planner partitions the full tree, not
+    the reduced one — and the subtree below it is then outside the
+    reduced tree (``outside``), except for the sleep-blocked execution
+    at a node where every option sleeps, which the all-zeros shard below
+    that node owns.
+    """
+
+    def __init__(self, guide: Sequence[int], *, pinned: int = 0,
+                 tail: Sequence = (), forced_from: int = 0,
+                 observer=None) -> None:
+        self.guide = guide
+        self.pinned = pinned
+        self.tail = tail
+        self.forced_from = forced_from
+        self.observer = observer
+        self.outside = False
+        #: Sleep set of the current state, inherited from its parent.
+        self.sleep: FrozenSet = frozenset()
+        #: Per executed step: the options the chooser indexed ...
+        self.options: List[list] = []
+        #: ... and the sleep set entering that node.
+        self.sleeps: List[FrozenSet] = []
+        self._footprint: Callable[[object], Resources] = _unknown_footprint
+        self._node: Tuple = ((), frozenset())
+        self._entering: FrozenSet = frozenset()
+        self._executed: Resources = None
+
+    # ------------------------------------------------------------------
+    def begin(self, instance, extras, monitored: bool) -> None:
+        if not monitored:
+            self._footprint = footprints(instance)
+        if extras:
+            self.sleep = extras["sleep"]
+            self.options = list(extras["options"])
+            self.sleeps = list(extras["sleeps"])
+
+    def extras(self) -> dict:
+        return {"sleep": self.sleep, "options": tuple(self.options),
+                "sleeps": tuple(self.sleeps)}
+
+    def choices(self, position: int, steps: int, options: list,
+                enabled) -> list:
+        self._node = (options, enabled)
+        sleep = self.sleep
+        if position < len(self.guide):
+            index = self.guide[position]
+            if index < len(options) and options[index] in sleep:
+                owner = (all(t in sleep for t in options)
+                         and not any(self.guide[position:self.pinned]))
+                self.outside = not owner
+                return []
+            return options
+        forced = steps - self.forced_from
+        if 0 <= forced < len(self.tail):
+            wanted = self.tail[forced]
+            if wanted in options:
+                return [wanted]
+            # Wakeup tail made infeasible by the policy (fairness
+            # priorities shifted) or the preemption bound: the default
+            # extension takes over.
+            self.tail = ()
+            if self.observer is not None:
+                self.observer.dpor_wakeup_abandoned()
+        if not sleep:
+            return options
+        return [t for t in options if t not in sleep]
+
+    def before_step(self, instance, tid) -> None:
+        options = self._node[0]
+        # The siblings explored before ``tid`` here are ``options[:k]``.
+        entering = self.sleep.union(options[:options.index(tid)])
+        self.options.append(options)
+        self.sleeps.append(entering)
+        self._entering = entering
+        self._executed = self._footprint(tid)
+
+    def after_step(self, instance, tid) -> None:
+        entering = self._entering
+        if not entering:
+            self.sleep = entering
+            return
+        executed = self._executed
+        footprint = self._footprint
+        self.sleep = frozenset(
+            u for u in entering
+            if u != tid and not dependent(footprint(u), executed))
+
+    def finish(self, instance, outcome, completed_randomly: bool) -> None:
+        """Sleep sets alone collect nothing at the end."""
+
+
+class SleepSetStrategy(DfsStrategy):
     """Depth-first search with sleep-set partial-order reduction.
 
-    The frontier is the same (guide) shape as plain DFS; the sleep sets
+    The frontier is plain DFS's (guide) frontier; the sleep sets
     themselves are recomputed deterministically from the guide on every
-    execution, so they need no checkpoint state of their own.
+    execution, so they need no checkpoint state of their own.  The
+    prefix-snapshot cache applies as for DFS, each snapshot carrying the
+    walk's sleep sets in its extras.  Random completion derives its
+    generator from the decision prefix (not the frontier's), so every
+    record replays with ``replay_schedule``.
     """
 
     name = "por"
@@ -296,65 +229,43 @@ class SleepSetStrategy(SearchStrategy):
         super().__init__(
             program,
             policy_factory,
-            config,
+            bounded_config(config, depth_bound),
             limits,
             coverage=coverage,
             listener=listener,
+            strategy_name="dfs+sleepsets",
+            prefix=prefix,
             observer=observer,
             resilience=resilience,
         )
-        self.depth_bound = depth_bound
-        #: Pinned decisions confining the search to one subtree.  Sleep
-        #: sets are a deterministic function of the guide, so a prefix
-        #: partition of the reduced tree is exact, like plain DFS.
-        self.prefix: List[int] = list(prefix or [])
-        self.guide: Optional[List[int]] = list(self.prefix)
-        #: Prefix-snapshot cache; the sleep-set walk visits guides in
-        #: lexicographic order, so DFS-style eager invalidation applies.
-        self.snapshot_cache = PrefixSnapshotCache.from_config(
-            config, program, observer=observer)
+        self._walk: Optional[SleepSets] = None
 
-    def strategy_label(self) -> str:
-        return "dfs+sleepsets"
-
-    # ------------------------------------------------------------------
-    def _has_work(self) -> bool:
-        return self.guide is not None
-
-    def _run_once(self) -> ExecutionResult:
-        return _run_once_with_sleep(
-            self.program,
-            self.policy_factory(),
-            self.guide,
-            depth_bound=self.depth_bound,
-            coverage=self.coverage,
-            observer=self.observer,
-            snapshot_cache=self.snapshot_cache,
-        )
-
-    def _advance(self, record: ExecutionResult) -> None:
-        self.guide = next_dfs_guide(record.decisions)
-        if self.guide is not None and len(self.guide) <= len(self.prefix):
+    def _run_once(self) -> Optional[ExecutionResult]:
+        walk = self._walk = SleepSets(self.guide, pinned=len(self.prefix))
+        record = self._execute(GuidedChooser(self.guide),
+                               snapshot_cache=self.snapshot_cache, hook=walk)
+        if walk.outside:
             self.guide = None
-        if self.snapshot_cache is not None:
-            if self.guide is None:
-                self.snapshot_cache.clear()
-            else:
-                self.snapshot_cache.invalidate_not_prefix_of(self.guide)
+            return None
+        return record
 
-    def _announce(self) -> None:
-        if self.observer is not None and self.guide is not None:
-            self.observer.backtrack(len(self.guide))
-
-    # ------------------------------------------------------------------
-    def _frontier_state(self) -> dict:
-        return {"guide": self.guide, "prefix": self.prefix,
-                "depth_bound": self.depth_bound}
-
-    def _load_frontier(self, state: dict) -> None:
-        self.guide = state.get("guide", [])
-        self.prefix = list(state.get("prefix", []))
-        self.depth_bound = state.get("depth_bound", self.depth_bound)
+    def _next_guide(self, record: ExecutionResult) -> Optional[List[int]]:
+        """The next guide in DFS order, skipping siblings asleep at their
+        node (:func:`~repro.engine.strategies.base.next_dfs_guide` over
+        the reduced tree)."""
+        decisions, walk = record.decisions, self._walk
+        step = len(walk.options)
+        for i in range(len(decisions) - 1, -1, -1):
+            decision = decisions[i]
+            index = decision.index + 1
+            if decision.kind == "thread":
+                step -= 1
+                options, sleep = walk.options[step], walk.sleeps[step]
+                while index < decision.options and options[index] in sleep:
+                    index += 1
+            if index < decision.options:
+                return [d.index for d in decisions[:i]] + [index]
+        return None
 
 
 def explore_dfs_sleepsets(

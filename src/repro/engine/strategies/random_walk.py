@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from repro.core.model import Program
 from repro.core.policies import PolicyFactory
 from repro.engine.coverage import CoverageTracker
-from repro.engine.executor import ExecutorConfig, RandomChooser, run_execution
+from repro.engine.executor import ExecutorConfig, RandomChooser
 from repro.engine.results import ExecutionResult, ExplorationResult
 from repro.engine.strategies.base import ExplorationLimits, SearchStrategy
 
@@ -92,15 +92,7 @@ class RandomWalkStrategy(SearchStrategy):
 
     def _run_once(self) -> ExecutionResult:
         rng = walk_rng(self.seed, self.next_index)
-        return run_execution(
-            self.program,
-            self.policy_factory(),
-            RandomChooser(rng),
-            self.config,
-            coverage=self.coverage,
-            completion_rng=rng,
-            observer=self.observer,
-        )
+        return self._execute(RandomChooser(rng), completion_rng=rng)
 
     def _advance(self, record: ExecutionResult) -> None:
         self.next_index += 1

@@ -43,8 +43,6 @@ from repro.engine.coverage import CoverageTracker
 from repro.engine.replay import replay_schedule
 from repro.engine.results import ExecutionResult, ExplorationResult, Outcome
 from repro.engine.strategies import ExplorationLimits, merge_sweeps
-from repro.engine.strategies.por import _run_once_with_sleep
-from repro.engine.executor import GuidedChooser, run_execution
 from repro.parallel.shard import (
     DEFAULT_SHARD_TARGET,
     Shard,
@@ -223,20 +221,15 @@ class ParallelCoordinator:
     # planning
     # ------------------------------------------------------------------
     def _probe(self, prefix: List[int], bound: Optional[int]):
-        """One planner probe: the execution the strategy itself would run
-        for this prefix (so branching factors match exactly)."""
-        if self.strategy == "por":
-            return _run_once_with_sleep(
-                self.program, self.policy_factory(), prefix,
-                depth_bound=self.config.depth_bound, coverage=None,
-            )
+        """One planner probe: the guided replay of ``prefix``, extended
+        with first alternatives.  Every strategy's decisions index the
+        full schedulable set, so its branching factors are the
+        strategy's own (a sleeping alternative becomes an empty shard)."""
         config = self.config
         if bound is not None:
             config = dataclasses.replace(config, preemption_bound=bound)
-        return run_execution(
-            self.program, self.policy_factory(), GuidedChooser(prefix),
-            config,
-        )
+        return replay_schedule(self.program, prefix, self.policy_factory,
+                               config, trace_window=config.trace_window)
 
     def _plan_phase(self, bound: Optional[int]) -> ShardPlan:
         if self.observer is None:
@@ -974,15 +967,9 @@ class ParallelCoordinator:
                 continue
             record = records[0]
             try:
-                if self.strategy == "por":
-                    replayed = _run_once_with_sleep(
-                        self.program, self.policy_factory(),
-                        record.schedule,
-                        depth_bound=self.config.depth_bound, coverage=None)
-                else:
-                    replayed = replay_schedule(
-                        self.program, record.schedule,
-                        self.policy_factory, config)
+                replayed = replay_schedule(
+                    self.program, record.schedule, self.policy_factory,
+                    config)
             except Exception:  # pragma: no cover - replay divergence
                 continue
             if replayed.outcome is record.outcome:

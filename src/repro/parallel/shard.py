@@ -129,10 +129,10 @@ def plan_prefix_shards(
 ) -> ShardPlan:
     """Partition the choice tree into ~``target`` disjoint subtrees.
 
-    ``probe`` runs one guided execution for a prefix and returns its
-    record; it must be the same executor the sharded strategy uses
-    (plain guided replay for dfs/bfs/icb, the sleep-set walker for por)
-    so the branching factors match the strategy's own view of the tree.
+    ``probe`` runs one guided replay of a prefix and returns its record.
+    Every strategy's decisions index the full schedulable set, so the
+    replay's branching factors are the strategy's own; sleep-set POR
+    runs the children it prunes as empty shards.
     """
     if target < 1:
         raise ValueError("shard target must be positive")

@@ -86,25 +86,16 @@ def build_shard_strategy(
             coverage=coverage, listener=listener, resilience=resilience,
             observer=observer,
         )
-    if strategy_name == "por":
-        # config rides along so each shard builds its own prefix-snapshot
-        # cache (caches are never shared across processes).
-        return SleepSetStrategy(
-            program, policy_factory, depth_bound=config.depth_bound,
-            limits=limits, prefix=list(shard.prefix),
-            coverage=coverage, listener=listener, resilience=resilience,
-            config=config, observer=observer,
-        )
-    if strategy_name == "dpor":
-        # DPOR's plan is always the single root shard (dynamic backtrack
-        # points cannot be prefix-partitioned), so the prefix is empty.
-        if shard.prefix:
-            raise ValueError("dpor shards must have an empty prefix")
-        return DporStrategy(
-            program, policy_factory, depth_bound=config.depth_bound,
-            limits=limits,
-            coverage=coverage, listener=listener, resilience=resilience,
-            config=config, observer=observer,
+    if strategy_name in ("por", "dpor"):
+        # config rides along so each POR shard builds its own
+        # prefix-snapshot cache (caches are never shared across
+        # processes); DPOR's plan is the single root shard, and it
+        # rejects any other prefix itself.
+        reducer = SleepSetStrategy if strategy_name == "por" else DporStrategy
+        return reducer(
+            program, policy_factory, config=config, limits=limits,
+            prefix=list(shard.prefix), coverage=coverage, listener=listener,
+            resilience=resilience, observer=observer,
         )
     if strategy_name == "random":
         return RandomWalkStrategy(

@@ -149,8 +149,8 @@ class VirtualMachine(ProgramInstance):
             operation=op_desc,
         )
 
-    def fast_forward(self, decisions, *, per_step: Optional[Callable[["VirtualMachine"], None]] = None,
-                     run_monitors: bool = True) -> int:
+    def fast_forward(self, decisions, *,
+                     per_step: Optional[Callable[["VirtualMachine"], None]] = None) -> int:
         """Replay a recorded decision prefix without the engine loop.
 
         This is the reference implementation of the replay-log snapshot
@@ -163,9 +163,7 @@ class VirtualMachine(ProgramInstance):
         carry the value the prefix's ``choose()`` calls returned and are
         fed back in recorded order through a temporary data-choice
         handler.  ``per_step`` (engine-supplied) runs after each
-        transition, before the VM-local monitors; ``run_monitors=False``
-        skips local safety and temporal monitors for callers whose full
-        loop never consults them (the sleep-set POR loop).
+        transition, before the VM-local monitors.
 
         Returns the number of transitions executed.  Raises whatever the
         replayed prefix raises — a clean prefix replays cleanly, so any
@@ -196,11 +194,10 @@ class VirtualMachine(ProgramInstance):
                 self.step(decision.chosen)
                 if per_step is not None:
                     per_step(self)
-                if run_monitors:
-                    for monitor in self.monitors:
-                        monitor()
-                    for temporal in self.temporal_monitors:
-                        temporal.observe()
+                for monitor in self.monitors:
+                    monitor()
+                for temporal in self.temporal_monitors:
+                    temporal.observe()
                 executed += 1
         finally:
             self.data_choice_handler = saved_handler

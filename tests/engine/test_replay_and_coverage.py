@@ -1,5 +1,8 @@
 """Replay and coverage-tracker tests."""
 
+import pytest
+
+from repro.checker import Checker
 from repro.core.policies import fair_policy, nonfair_policy
 from repro.engine.coverage import CoverageTracker
 from repro.engine.replay import replay_schedule
@@ -51,6 +54,14 @@ class TestReplay:
         found = result.violations[0]
         replayed = replay_schedule(program, found.decisions, nonfair_policy())
         assert len(replayed.trace) == replayed.steps
+
+    @pytest.mark.parametrize("strategy", ["dfs", "por", "dpor"])
+    def test_one_trace_format_for_every_strategy(self, strategy):
+        checker = Checker(racy_program(), strategy=strategy, fairness=False)
+        found = checker.run().violation
+        assert {step.thread_name for step in found.trace} == {"w", "r"}
+        # The search's trace is the one the plain replay records.
+        assert checker.replay(found).trace == found.trace
 
 
 class TestCoverageTracker:
