@@ -2,20 +2,20 @@
 """Profiling: where does the search spend its time?
 
 Runs one counted DFS sweep with the deep-profiling layer attached and
-shows the three views docs/profiling.md describes:
+shows three views (docs/profiling.md, docs/performance.md):
 
 * the decision-tree cost profile — which choice-tree prefixes burn the
   wall clock (exported as folded stacks for flamegraph.pl/speedscope);
 * the span timeline — what the process was doing and when (exported as
   Chrome trace-event JSON for Perfetto / chrome://tracing);
-* the snapshot-cache amortization report — does the prefix cache pay
-  for itself on this workload?
+* the replay cost of statelessness — how many of the transitions the
+  search stepped only re-executed a decision prefix to get back to the
+  frontier (the ``executions.replayed_steps`` counter).
 
 The same data is available from the CLI:
 
     python -m repro check repro.workloads.dining:dining_philosophers \\
-        -a 2 --profile-out profile.folded --chrome-trace trace.json
-    python -m repro profile snapshots
+        -a 2 --profile-out profile.folded --chrome-trace trace.json --stats
 
 Run:  python examples/profiling_demo.py
 """
@@ -25,13 +25,7 @@ import tempfile
 
 from repro import Checker
 from repro.obs import Observer
-from repro.obs.profile import (
-    DecisionProfiler,
-    format_snapshot_report,
-    snapshot_amortization,
-    write_chrome_trace,
-)
-from repro.workloads.boundedbuffer import bounded_buffer_program
+from repro.obs.profile import DecisionProfiler, write_chrome_trace
 from repro.workloads.dining import dining_philosophers
 
 
@@ -68,11 +62,10 @@ def main():
     print(f"chrome trace ({events} events) written to {trace_path}")
     print("  open in https://ui.perfetto.dev or chrome://tracing")
 
-    print("\n" + "=" * 60)
-    report = snapshot_amortization(
-        lambda: bounded_buffer_program(items=2, consumers=2),
-        max_executions=80)
-    print(format_snapshot_report(report))
+    replayed = observer.metrics.counter("executions.replayed_steps").value
+    transitions = result.exploration.transitions
+    print(f"\nprefix replay: {replayed} of {transitions} transitions "
+          f"({replayed / transitions:.0%}) re-executed a decision prefix")
 
 
 if __name__ == "__main__":

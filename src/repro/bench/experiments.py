@@ -342,116 +342,6 @@ def parallel_speedup(
 
 
 # ----------------------------------------------------------------------
-# Hot path: prefix replay cost with and without the snapshot cache
-# ----------------------------------------------------------------------
-
-
-def hotpath_replay(
-    program_factory: Callable[[], Program],
-    *,
-    strategy: str = "dfs",
-    depth_bound: int = 200,
-    preemption_bound: Optional[int] = 2,
-    snapshot_interval: int = 4,
-    max_executions: int = 250,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Dict[str, object]:
-    """One program's counted sweep with the snapshot cache off, then on
-    (docs/performance.md).
-
-    Both runs must agree on verdict, executions and transitions — the
-    cache is a pure optimization, so a mismatch raises instead of being
-    reported as a (meaningless) timing.  Two numbers matter:
-    ``executions.replayed_steps`` (prefix transitions re-executed through
-    the full scheduling loop; with the cache on, transitions carried by
-    ``fast_forward`` land in ``executions.restored_steps`` instead) and
-    the wall-clock ``cache_speedup`` ratio (seconds-off / seconds-on) —
-    machine-relative, so it is comparable across hosts where absolute
-    seconds are not.  Returns a JSON-ready dict with both runs'
-    counters, the replayed-steps reduction ratio and the speedup.
-    """
-    from repro.checker import Checker
-    from repro.obs import Observer
-
-    registry = _registry(metrics)
-    baseline: Optional[Dict[str, object]] = None
-    runs: List[Dict[str, object]] = []
-    for cached in (False, True):
-        observer = Observer()
-        label = "cache-on" if cached else "cache-off"
-        with registry.timer(f"hotpath.{label}") as timer:
-            result = Checker(
-                program_factory(),
-                strategy=strategy,
-                depth_bound=depth_bound,
-                preemption_bound=preemption_bound,
-                max_executions=max_executions,
-                snapshot_cache=cached,
-                snapshot_interval=snapshot_interval,
-                stop_on_first_violation=False,
-                stop_on_first_divergence=False,
-                handle_signals=False,
-                observer=observer,
-            ).run()
-        _record_search(registry, result.exploration)
-        counters = observer.metrics
-        run = {
-            "snapshot_cache": cached,
-            "seconds": round(timer.seconds, 3),
-            "ok": result.ok,
-            "executions": result.exploration.executions,
-            "transitions": result.exploration.transitions,
-            "replayed_steps":
-                counters.counter("executions.replayed_steps").value,
-            "restored_steps":
-                counters.counter("executions.restored_steps").value,
-            "snapshot_hits": counters.counter("snapshot.hits").value,
-            "snapshot_misses": counters.counter("snapshot.misses").value,
-            # Accounted snapshot-cache cost (docs/profiling.md): every
-            # capture/restore perf_counter pair feeds these histograms.
-            "capture_seconds": round(
-                counters.histogram("snapshot.capture.seconds").total, 4),
-            "refresh_seconds": round(
-                counters.histogram(
-                    "snapshot.capture.refresh.seconds").total, 4),
-            "restore_seconds": round(
-                counters.histogram("snapshot.restore.seconds").total, 4),
-            "captured_bytes": counters.counter("snapshot.captured_bytes").value,
-            "restored_bytes": counters.counter("snapshot.restored_bytes").value,
-        }
-        if baseline is None:
-            baseline = run
-        else:
-            for key in ("ok", "executions", "transitions"):
-                if run[key] != baseline[key]:
-                    raise AssertionError(
-                        f"snapshot cache changed the search on {key}: "
-                        f"{run[key]!r} != {baseline[key]!r}"
-                    )
-        runs.append(run)
-    replayed_off = int(baseline["replayed_steps"])
-    replayed_on = int(runs[-1]["replayed_steps"])
-    reduction = (float(replayed_off) / replayed_on
-                 if replayed_on else float(replayed_off or 1))
-    seconds_off = float(baseline["seconds"])
-    seconds_on = float(runs[-1]["seconds"])
-    speedup = seconds_off / seconds_on if seconds_on else 0.0
-    return {
-        "program": program_factory().name,
-        "strategy": strategy,
-        "depth_bound": depth_bound,
-        "preemption_bound": preemption_bound,
-        "snapshot_interval": snapshot_interval,
-        "runs": runs,
-        "replayed_reduction": round(reduction, 2),
-        # Wall-clock ratio off/on: > 1.0 means the cache wins in seconds
-        # on this machine.  A ratio survives host-speed differences, so
-        # it is the gated metric in ``repro bench compare``.
-        "cache_speedup": round(speedup, 2),
-    }
-
-
-# ----------------------------------------------------------------------
 # Table 3: executions and time to the first bug
 # ----------------------------------------------------------------------
 

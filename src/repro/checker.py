@@ -34,7 +34,11 @@ from repro.core.model import Program
 from repro.core.policies import PolicyFactory, fair_policy, nonfair_policy
 from repro.engine.coverage import CoverageTracker
 from repro.engine.executor import ExecutorConfig
-from repro.engine.replay import explain_deadlock, replay_schedule
+from repro.engine.replay import (
+    explain_deadlock,
+    record_config,
+    replay_schedule,
+)
 from repro.engine.results import (
     DivergenceKind,
     ExecutionResult,
@@ -181,9 +185,6 @@ class Checker:
         handle_signals: bool = True,
         workers: int = 1,
         shard_target: Optional[int] = None,
-        snapshot_cache: bool = False,
-        snapshot_interval: int = 16,
-        snapshot_memory_mb: int = 64,
         external_stop=None,
         heartbeat_interval: float = 0.5,
         wedge_timeout: Optional[float] = 30.0,
@@ -236,9 +237,6 @@ class Checker:
             seed=seed,
             execution_budget_seconds=execution_budget_seconds,
             capture_crashes=self.resilience_options.capture_crashes,
-            snapshot_cache=snapshot_cache,
-            snapshot_interval=snapshot_interval,
-            snapshot_memory_mb=snapshot_memory_mb,
         )
         self.limits = ExplorationLimits(
             max_executions=max_executions,
@@ -476,13 +474,15 @@ class Checker:
     def replay(self, record: ExecutionResult) -> ExecutionResult:
         """Reproduce a counterexample found by :meth:`run` with a full trace."""
         return replay_schedule(
-            self.program, record.decisions, self.policy_factory, self.config,
+            self.program, record.decisions, self.policy_factory,
+            record_config(self.config, record),
         )
 
     def explain_deadlock(self, record: ExecutionResult) -> str:
         """Describe the wait-for set of a deadlocked execution."""
         return explain_deadlock(
-            self.program, record, self.policy_factory, self.config,
+            self.program, record, self.policy_factory,
+            record_config(self.config, record),
         )
 
     def confirm_divergence(self, record: ExecutionResult, *,
@@ -508,7 +508,7 @@ class Checker:
             raise ValueError("confirm_divergence needs a depth bound")
         target = self.config.depth_bound * factor
         extended = dataclasses.replace(
-            self.config,
+            record_config(self.config, record),
             depth_bound=target,
             trace_window=max(512, self.config.depth_bound),
             divergence_window=max(256, self.config.depth_bound // 2),

@@ -9,8 +9,6 @@ Subcommands:
 * ``replay REPRO_FILE MODULE:FACTORY`` — replay a saved counterexample.
 * ``demo NAME`` — run a built-in workload demonstration.
 * ``demos`` — list the built-in demonstrations.
-* ``profile snapshots [MODULE:FACTORY]`` — snapshot-cache amortization
-  report with an on/off verdict (docs/profiling.md).
 * ``bench compare BASELINE CURRENT`` — diff two benchmark JSON files
   with noise tolerances; exits non-zero on regression.
 
@@ -178,22 +176,6 @@ def _add_checker_options(parser: argparse.ArgumentParser) -> None:
     resilience.add_argument("--quarantine-dir", metavar="DIR",
                             help="save each quarantined crash's schedule as "
                                  "a repro file in DIR")
-    performance = parser.add_argument_group(
-        "performance", "exploration hot-path tuning (docs/performance.md)")
-    performance.add_argument("--snapshot-cache", action="store_true",
-                             help="cache prefix snapshots so guided "
-                                  "executions skip re-executing shared "
-                                  "prefixes (VM and native-thread "
-                                  "programs)")
-    performance.add_argument("--snapshot-interval", type=int, default=16,
-                             metavar="N",
-                             help="snapshot every N transitions along an "
-                                  "execution (smaller = less re-execution, "
-                                  "more memory)")
-    performance.add_argument("--snapshot-memory-mb", type=int, default=64,
-                             metavar="MB",
-                             help="memory budget for the snapshot cache "
-                                  "(LRU eviction past it)")
     parallel = parser.add_argument_group(
         "parallel", "sharded multi-process search (docs/parallel.md)")
     parallel.add_argument("--workers", type=int, default=1, metavar="N",
@@ -247,9 +229,6 @@ def _make_checker(program: Program, options: argparse.Namespace) -> Checker:
         quarantine_dir=options.quarantine_dir,
         workers=options.workers,
         shard_target=options.shards,
-        snapshot_cache=options.snapshot_cache,
-        snapshot_interval=options.snapshot_interval,
-        snapshot_memory_mb=options.snapshot_memory_mb,
     )
 
 
@@ -348,39 +327,6 @@ def _cmd_demo(options: argparse.Namespace) -> int:
 def _cmd_demos(options: argparse.Namespace) -> int:
     for name in sorted(_demos()):
         print(name)
-    return 0
-
-
-def _cmd_profile_snapshots(options: argparse.Namespace) -> int:
-    """Measure snapshot-cache amortization and print the verdict report."""
-    from repro.obs.profile import format_snapshot_report, snapshot_amortization
-
-    if options.program:
-        def program_factory():
-            return _build_program(options.program, options.factory_arg)
-    else:
-        from repro.workloads.boundedbuffer import bounded_buffer_program
-
-        def program_factory():
-            return bounded_buffer_program(items=2, consumers=2)
-
-    report = snapshot_amortization(
-        program_factory,
-        strategy=options.strategy,
-        depth_bound=options.depth_bound,
-        preemption_bound=options.preemption_bound,
-        snapshot_interval=options.snapshot_interval,
-        max_executions=options.max_executions,
-        snapshot_memory_mb=options.snapshot_memory_mb,
-    )
-    print(format_snapshot_report(report))
-    if options.json_out:
-        import json
-
-        Path(options.json_out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"report written to {options.json_out}")
     return 0
 
 
@@ -645,34 +591,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--torture-stride", type=int, default=1,
         help="check every N-th write-sequence prefix (default: all)")
     chaos_parser.set_defaults(func=_cmd_chaos)
-
-    profile_parser = sub.add_parser(
-        "profile", help="profiling reports (docs/profiling.md)")
-    profile_sub = profile_parser.add_subparsers(dest="profile_command",
-                                                required=True)
-    snapshots_parser = profile_sub.add_parser(
-        "snapshots",
-        help="snapshot-cache amortization report: per-phase capture/"
-             "restore cost vs replay savings, with an on/off verdict")
-    snapshots_parser.add_argument(
-        "program", nargs="?", default=None,
-        help="factory spec package.module:factory "
-             "(default: the hot-path bench workload, "
-             "bounded_buffer_program(items=2, consumers=2))")
-    snapshots_parser.add_argument("-a", "--factory-arg", action="append",
-                                  default=[])
-    snapshots_parser.add_argument("--strategy", default="dfs",
-                                  choices=["dfs", "icb", "bfs", "random",
-                                           "por", "dpor"])
-    snapshots_parser.add_argument("--depth-bound", type=int, default=200)
-    snapshots_parser.add_argument("--preemption-bound", type=int, default=2)
-    snapshots_parser.add_argument("--snapshot-interval", type=int, default=4)
-    snapshots_parser.add_argument("--max-executions", type=int, default=250)
-    snapshots_parser.add_argument("--snapshot-memory-mb", type=int,
-                                  default=64)
-    snapshots_parser.add_argument("--json-out", metavar="FILE",
-                                  help="also write the report as JSON")
-    snapshots_parser.set_defaults(func=_cmd_profile_snapshots)
 
     bench_parser = sub.add_parser(
         "bench", help="benchmark tooling (docs/performance.md)")

@@ -31,7 +31,7 @@ representation: callers feed it the observations of each transition
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable
 
 from repro.core.model import StepInfo
 from repro.core.priority import PriorityRelation
@@ -47,11 +47,9 @@ class FairSchedulerState:
     The per-thread window sets ``E``/``D``/``S`` are stored as immutable
     frozensets replaced copy-on-write: an update that changes nothing
     costs a set comparison, an update that changes something rebinds one
-    dict slot to a fresh frozenset.  That layout makes
-    :meth:`snapshot_state` a handful of shallow dict copies whose values
-    are *shared* between the live state and every snapshot — the
-    structural sharing behind the engine's O(changed) prefix-snapshot
-    capture (docs/performance.md).
+    dict slot to a fresh frozenset.  The introspection accessors
+    (``continuously_enabled`` and friends) can therefore return the
+    stored sets as they are.
     """
 
     __slots__ = ("priority", "_E", "_D", "_S", "_window_open", "_check_acyclic")
@@ -107,8 +105,7 @@ class FairSchedulerState:
 
         # Lines 14–22: update E, D, S for every thread's open window.
         # Copy-on-write: a window set is replaced only when it actually
-        # changes, so unchanged frozensets keep being shared with any
-        # snapshots that captured them.
+        # changes.
         for u, is_open in self._window_open.items():
             if not is_open:
                 continue  # closed window: E stays ∅, D = S = Tid implicitly
@@ -162,39 +159,6 @@ class FairSchedulerState:
         if not self._window_open.get(t, False):
             return self.known_threads()
         return self._S[t]
-
-    # ------------------------------------------------------------------
-    # Persistent-snapshot protocol (docs/performance.md)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Tuple:
-        """Capture (P, E, D, S, windows) with structural sharing.
-
-        Five shallow dict copies; every value is an immutable frozenset
-        (or bool) shared with the live state.  Cost is O(threads), not
-        O(total set contents), and consecutive snapshots share all
-        unchanged per-thread entries.
-        """
-        return (
-            self.priority.snapshot_state(),
-            dict(self._E),
-            dict(self._D),
-            dict(self._S),
-            dict(self._window_open),
-        )
-
-    def restore_state(self, state: Tuple) -> None:
-        """Adopt a :meth:`snapshot_state` value — O(threads), like capture.
-
-        The snapshot's dicts are copied (so the restored state can keep
-        mutating copy-on-write without touching the cached entry); the
-        frozenset values are shared, never copied.
-        """
-        priority_state, E, D, S, window_open = state
-        self.priority.restore_state(priority_state)
-        self._E = dict(E)
-        self._D = dict(D)
-        self._S = dict(S)
-        self._window_open = dict(window_open)
 
     def snapshot(self) -> Dict[str, object]:
         """A readable dump of (P, E, D, S) for traces and the Fig. 4 test."""

@@ -56,27 +56,6 @@ class SchedulingPolicy(abc.ABC):
         """
         return False
 
-    # ------------------------------------------------------------------
-    # Persistent-snapshot protocol.
-    #
-    # ``snapshot_state()`` returns an immutable-by-convention value that
-    # ``restore_state()`` can later apply to *any* fresh instance of the
-    # same policy configuration.  The prefix-snapshot cache
-    # (engine/snapshots.py) uses this pair instead of ``copy.deepcopy``:
-    # built-in policies return structurally shared values (dicts of
-    # frozensets), making capture and restore O(changed) rather than
-    # O(total state).  Policies that do not override these fall back to
-    # a deepcopy inside the cache — correct, just slower.
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> object:
-        """Capture the policy's mutable state as a persistent value."""
-        raise NotImplementedError
-
-    def restore_state(self, state: object) -> None:
-        """Reset this instance to a previously captured ``snapshot_state``."""
-        raise NotImplementedError
-
-
 class NonfairPolicy(SchedulingPolicy):
     """The classical demonic scheduler: every enabled thread is schedulable."""
 
@@ -85,12 +64,6 @@ class NonfairPolicy(SchedulingPolicy):
 
     def schedulable(self, enabled: FrozenSet[Tid]) -> FrozenSet[Tid]:
         return enabled
-
-    def snapshot_state(self) -> object:  # stateless
-        return None
-
-    def restore_state(self, state: object) -> None:
-        pass
 
 
 class FairPolicy(SchedulingPolicy):
@@ -142,14 +115,6 @@ class FairPolicy(SchedulingPolicy):
     def fairness_blocked(self, tid: Tid, enabled: FrozenSet[Tid]) -> bool:
         return tid in enabled and tid not in self._state.schedulable(enabled)
 
-    def snapshot_state(self) -> object:
-        return (self._state.snapshot_state(), dict(self._yield_counts))
-
-    def restore_state(self, state: object) -> None:
-        algo_state, yield_counts = state
-        self._state.restore_state(algo_state)
-        self._yield_counts = dict(yield_counts)
-
 
 class RoundRobinPolicy(SchedulingPolicy):
     """Deterministic round-robin over a fixed thread order.
@@ -191,14 +156,6 @@ class RoundRobinPolicy(SchedulingPolicy):
         self._last = info.tid
         for spawned in info.spawned:
             self.register_thread(spawned)
-
-    def snapshot_state(self) -> object:
-        return (tuple(self._order), self._last)
-
-    def restore_state(self, state: object) -> None:
-        order, last = state
-        self._order = list(order)
-        self._last = last
 
 
 def fair_policy(k: int = 1, *, check_acyclic: bool = False) -> PolicyFactory:

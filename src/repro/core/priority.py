@@ -15,7 +15,7 @@ invariant directly.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Set, Tuple
 
 Tid = Hashable
 
@@ -29,12 +29,8 @@ class PriorityRelation:
     relation, i.e. the threads that currently outrank ``t``.
 
     The out-edge sets are stored as *immutable* frozensets and replaced
-    (never mutated in place) on every update.  This copy-on-write layout
-    is what makes :meth:`snapshot_state` O(threads-with-edges): a
-    snapshot is a shallow dict copy whose values are shared with the
-    live relation — and with every other snapshot taken while those
-    entries stay unchanged (structural sharing, see
-    ``docs/performance.md``).
+    (never mutated in place) on every update, so :meth:`copy` and
+    :meth:`successors` can hand them out without a defensive copy.
     """
 
     __slots__ = ("_out",)
@@ -143,22 +139,6 @@ class PriorityRelation:
         # copy as far as any caller can observe.
         clone._out = {t: targets for t, targets in self._out.items() if targets}
         return clone
-
-    # ------------------------------------------------------------------
-    # Persistent-snapshot protocol (docs/performance.md)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Mapping[Tid, FrozenSet[Tid]]:
-        """An immutable-by-convention snapshot of the relation.
-
-        O(threads-with-edges): the frozenset values are shared, not
-        copied, so snapshots taken while the relation is quiescent cost
-        a small dict copy and nothing else.
-        """
-        return dict(self._out)
-
-    def restore_state(self, state: Mapping[Tid, FrozenSet[Tid]]) -> None:
-        """Adopt a :meth:`snapshot_state` value (shared, never mutated)."""
-        self._out = dict(state)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PriorityRelation):

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
-from repro.chaos.faults import InjectedFault, fault_at
 from repro.core.model import Program, ProgramInstance, RunStatus
 from repro.core.policies import SchedulingPolicy
 from repro.engine.classify import classify_divergence
@@ -36,7 +35,6 @@ from repro.engine.results import (
     Outcome,
     TraceStep,
 )
-from repro.engine.snapshots import PrefixSnapshot, PrefixSnapshotCache
 from repro.runtime.errors import ExecutionHung, PropertyViolation, TaskCrash
 
 
@@ -94,12 +92,8 @@ class GuidedChooser(Chooser):
 
     @property
     def guide(self) -> Sequence[int]:
-        """The recorded guide (read by the prefix-snapshot cache)."""
+        """The recorded guide (the executor counts its replayed prefix)."""
         return tuple(self._guide)
-
-    def skip(self, count: int) -> None:
-        """Advance past ``count`` decisions restored from a snapshot."""
-        self._cursor += count
 
     def pick(self, kind: str, options: int) -> int:
         if self._cursor < len(self._guide):
@@ -171,16 +165,6 @@ class ExecutorConfig:
     #: records instead of letting them propagate.  Off by default: legacy
     #: behavior treats a task crash as a property violation.
     capture_crashes: bool = False
-    #: Enable the prefix-snapshot cache (docs/performance.md).  Only
-    #: effective for programs that declare ``supports_snapshot`` (the VM
-    #: runtime); the native runtime transparently falls back to full
-    #: replay.  Off by default.
-    snapshot_cache: bool = False
-    #: Snapshot every N transitions along an execution.  Smaller = less
-    #: prefix re-execution, more capture overhead and memory.
-    snapshot_interval: int = 16
-    #: Memory budget for the snapshot cache, in MiB (LRU eviction).
-    snapshot_memory_mb: int = 64
 
 
 def sorted_options(values) -> list:
@@ -206,60 +190,6 @@ def _setup_instance(program: Program, config: ExecutorConfig, observer):
     return instance
 
 
-def _restore_prefix(
-    cache: PrefixSnapshotCache,
-    chooser: Chooser,
-    program: Program,
-    instance: ProgramInstance,
-    config: ExecutorConfig,
-    coverage: Optional[CoverageTracker],
-    observer,
-    timers,
-):
-    """Fast-forward ``instance`` through the deepest cached prefix of the
-    chooser's guide.  Returns ``(instance, snapshot-or-None)``; any
-    failure falls back to a fresh instance and full replay."""
-    guide = getattr(chooser, "guide", None)
-    skip = getattr(chooser, "skip", None)
-    forward = getattr(instance, "fast_forward", None)
-    if guide is None or skip is None or forward is None:
-        return instance, None
-    t0 = perf_counter() if timers is not None else 0.0
-    entry = cache.lookup(guide, need_signatures=coverage is not None)
-    if entry is not None:
-        def per_step(live) -> None:
-            for monitor in config.monitors:
-                monitor(live)
-
-        try:
-            rule = fault_at("snapshot.restore", steps=entry.steps)
-            if rule is not None:
-                raise InjectedFault(
-                    f"injected snapshot.restore fault ({rule.kind})")
-            forward(entry.decisions, per_step=per_step)
-        except Exception:  # noqa: BLE001 - determinism-contract guard
-            # The prefix did not replay cleanly, so the program broke the
-            # determinism contract; trust nothing cached and fall back to
-            # a fresh instance and a full replay.
-            cache.clear(failure=True)
-            closer = getattr(instance, "close", None)
-            if closer is not None:
-                closer()
-            instance = _setup_instance(program, config, observer)
-            entry = None
-    if timers is not None:
-        elapsed = perf_counter() - t0
-        timers.add("snapshot", elapsed)
-        if observer is not None:
-            observer.snapshot_restore_timed(
-                elapsed,
-                entry.estimated_bytes() if entry is not None else 0)
-    if observer is not None:
-        observer.snapshot_lookup(entry is not None,
-                                 entry.steps if entry is not None else 0)
-    return instance, entry
-
-
 def run_execution(
     program: Program,
     policy: SchedulingPolicy,
@@ -270,7 +200,6 @@ def run_execution(
     pruner: Optional[Pruner] = None,
     completion_rng: Optional[random.Random] = None,
     observer=None,
-    snapshot_cache: Optional[PrefixSnapshotCache] = None,
     hook=None,
 ) -> ExecutionResult:
     """Execute the program once under ``policy``, steering with ``chooser``.
@@ -279,29 +208,17 @@ def run_execution(
     None (the default) the loop takes only dead branches — no telemetry
     objects are touched on the hot path.
 
-    ``snapshot_cache`` is an optional
-    :class:`~repro.engine.snapshots.PrefixSnapshotCache` owned by the
-    calling strategy: when the chooser carries a guide, the execution
-    starts from the deepest cached snapshot whose decision prefix matches
-    it (instead of re-executing from step 0) and stores new snapshots
-    every ``cache.interval`` transitions.  Cached and uncached runs
-    produce identical results; a pruner disables the cache because prefix
-    restoration would skip its per-state consultations.
-
     ``hook`` (:class:`repro.engine.strategies.por.SleepSets`) extends
-    every step outside random completion: ``begin(instance, extras,
-    monitored)`` once, with the restored snapshot's ``extras`` (else
-    None) and whether any monitor watches the execution;
+    every step outside random completion: ``begin(instance, monitored)``
+    once, with whether any monitor watches the execution;
     ``choices(position, steps, options, enabled)`` before the pick
     returns the candidates the chooser indexes — an empty list ends the
     execution as ``VISITED_PRUNED``, and the recorded decision still
     indexes ``options``, so ``replay_schedule`` reproduces it;
     ``before_step`` and ``after_step(instance, tid)`` around each
-    transition; ``extras()`` at each snapshot capture; and
-    ``finish(instance, outcome, completed_randomly)`` before teardown.
+    transition; and ``finish(instance, outcome, completed_randomly)``
+    before teardown.
     """
-    if pruner is not None:
-        snapshot_cache = None
     instance = _setup_instance(program, config, observer)
     deadline: Optional[float] = None
     if config.execution_budget_seconds is not None:
@@ -309,67 +226,32 @@ def run_execution(
     timers = observer.timers if observer is not None else None
     profiler = observer.profiler if observer is not None else None
 
-    restored: Optional[PrefixSnapshot] = None
-    if snapshot_cache is not None:
-        instance, restored = _restore_prefix(
-            snapshot_cache, chooser, program, instance, config, coverage,
-            observer, timers)
-
-    if restored is not None:
-        # Resume the engine where the snapshot left off: the restored
-        # policy state already saw every prefix step (register_thread
-        # included), the chooser cursor jumps past the restored
-        # decisions, and the coverage tracker replays the prefix's
-        # recorded signatures so totals match a full replay exactly.
-        policy = restored.restore_policy(policy)
-        chooser.skip(len(restored.decisions))
-        decisions: List[Decision] = list(restored.decisions)
-        trace: deque = deque(restored.trace, maxlen=config.trace_window)
-        steps = restored.steps
-        preemptions = restored.preemptions
-        yields = restored.yields
-        last_tid: object = restored.last_tid
-        last_was_yield = restored.last_was_yield
-        if coverage is not None and restored.signatures:
-            t0 = perf_counter() if timers is not None else 0.0
-            for signature in restored.signatures:
-                coverage.record(signature)
-            if timers is not None:
-                elapsed = perf_counter() - t0
-                timers.add("snapshot", elapsed)
-                if observer is not None:
-                    observer.snapshot_restore_timed(elapsed, 0)
-    else:
-        for tid in sorted_options(instance.thread_ids()):
-            policy.register_thread(tid)
-        decisions = []
-        trace = deque(maxlen=config.trace_window)
-        steps = 0
-        preemptions = 0
-        yields = 0
-        last_tid = None
-        last_was_yield = False
+    for tid in sorted_options(instance.thread_ids()):
+        policy.register_thread(tid)
+    decisions: List[Decision] = []
+    trace: deque = deque(maxlen=config.trace_window)
+    steps = 0
+    preemptions = 0
+    yields = 0
+    last_tid: object = None
+    last_was_yield = False
 
     config_monitors = config.monitors
     local_monitors = getattr(instance, "monitors", ())
     temporal_monitors = getattr(instance, "temporal_monitors", ())
     if hook is not None:
-        hook.begin(instance, restored.extras if restored is not None else None,
+        hook.begin(instance,
                    bool(config_monitors or local_monitors or temporal_monitors))
 
     if profiler is not None:
-        # Cursor into the decision-cost tree: enter at the prefix already
-        # recorded (empty for a fresh execution, the restored decisions
-        # after a snapshot fast-forward) and time iterations from here.
-        pnode = profiler.enter(d.index for d in decisions)
+        # Cursor into the decision-cost tree: start at the root and time
+        # iterations from here.
+        pnode = profiler.root
         pmark = perf_counter()
     else:
         pnode = None
         pmark = 0.0
 
-    track_signatures = snapshot_cache is not None and coverage is not None
-    prefix_signatures: List = (list(restored.signatures or ())
-                               if restored is not None else [])
     hit_depth_bound = False
     completing_randomly = False
     completion_chooser: Optional[Chooser] = None
@@ -429,43 +311,13 @@ def run_execution(
             if observer is not None:
                 observer.execution_aborted(steps, abort_reason)
             break
-        if (snapshot_cache is not None and not completing_randomly
-                and steps > 0 and steps % snapshot_cache.interval == 0):
-            # Capture BEFORE recording this state's coverage signature:
-            # the stored signatures then cover states 0..steps-1, and the
-            # resumed loop records state ``steps`` itself — totals match a
-            # full replay exactly.
-            t0 = perf_counter() if timers is not None else 0.0
-            snapshot_cache.capture(
-                decisions=decisions,
-                steps=steps,
-                policy=policy,
-                preemptions=preemptions,
-                yields=yields,
-                last_tid=last_tid,
-                last_was_yield=last_was_yield,
-                trace=trace,
-                signatures=(prefix_signatures if track_signatures else None),
-                extras=hook.extras() if hook is not None else None,
-            )
-            if timers is not None:
-                elapsed = perf_counter() - t0
-                timers.add("snapshot", elapsed)
-                if observer is not None:
-                    observer.snapshot_capture_timed(
-                        elapsed, snapshot_cache.last_capture_bytes,
-                        outcome=snapshot_cache.last_capture_outcome)
         if coverage is not None:
             if timers is not None:
                 t0 = perf_counter()
-                signature = instance.state_signature()
-                coverage.record(signature)
+                coverage.record(instance.state_signature())
                 timers.add("hash", perf_counter() - t0)
             else:
-                signature = instance.state_signature()
-                coverage.record(signature)
-            if track_signatures and not completing_randomly:
-                prefix_signatures.append(signature)
+                coverage.record(instance.state_signature())
         if pruner is not None and pruner(
             instance,
             PrunePoint(
@@ -678,20 +530,17 @@ def run_execution(
         completed_randomly=completed_randomly,
         crash=crash,
         abort_reason=abort_reason,
+        preemption_bound=config.preemption_bound,
     )
     if config.keep_instance:
         result.final_instance = instance
     if observer is not None:
         guide = getattr(chooser, "guide", None)
         if guide:
-            # Prefix transitions re-executed through the full engine loop
-            # (the hot-path cost the snapshot cache attacks); tracked even
-            # with the cache off so benchmarks can report the reduction.
+            # Prefix transitions re-executed to get back to the frontier:
+            # the price of statelessness.
             limit = min(len(guide), len(decisions))
-            replayed = sum(
-                1 for d in decisions[:limit] if d.kind == "thread")
-            if restored is not None:
-                replayed -= restored.steps
-            observer.prefix_replayed(max(0, replayed))
+            observer.prefix_replayed(sum(
+                1 for d in decisions[:limit] if d.kind == "thread"))
         observer.execution_finished(result, yields=yields)
     return result

@@ -20,7 +20,7 @@ recorded name and decision count.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -28,7 +28,7 @@ from repro.core.model import Program
 from repro.durableio import atomic_write_text
 from repro.core.policies import PolicyFactory
 from repro.engine.executor import ExecutorConfig
-from repro.engine.replay import replay_schedule
+from repro.engine.replay import record_config, replay_schedule
 from repro.engine.results import ExecutionResult
 
 FORMAT_VERSION = 1
@@ -58,6 +58,7 @@ def schedule_to_dict(program: Program, record: ExecutionResult, *,
             "detail": record.divergence.detail,
         }
     if config is not None:
+        config = record_config(config, record)
         payload["config"] = {
             "depth_bound": config.depth_bound,
             "on_depth_exceeded": config.on_depth_exceeded,
@@ -131,12 +132,16 @@ def load_and_replay(
             f"repro file was recorded for {payload['program']!r}, "
             f"got {program.name!r}"
         )
-    if config is None and "config" in payload:
-        stored = payload["config"]
+    stored = payload.get("config", {})
+    if config is None and stored:
         config = ExecutorConfig(
             depth_bound=stored.get("depth_bound"),
             on_depth_exceeded=stored.get("on_depth_exceeded", "divergence"),
             preemption_bound=stored.get("preemption_bound"),
         )
+    elif config is not None and "preemption_bound" in stored:
+        # The schedule indexes the options left by the bound it was
+        # recorded under (an ICB sweep's, below the search's ceiling).
+        config = replace(config, preemption_bound=stored["preemption_bound"])
     return replay_schedule(program, payload["schedule"], policy_factory,
                            config)

@@ -18,6 +18,18 @@ from repro.engine.executor import ExecutorConfig, GuidedChooser, run_execution
 from repro.engine.results import Decision, ExecutionResult
 
 
+def record_config(config: ExecutorConfig,
+                  record: ExecutionResult) -> ExecutorConfig:
+    """``config`` under the preemption bound ``record`` ran with, when the
+    record carries one.  Its thread decisions index the options that bound
+    left, so an ICB record replays under its own sweep's bound, not the
+    checker's ceiling."""
+    if record.preemption_bound is None:
+        return config
+    return dataclasses.replace(config,
+                               preemption_bound=record.preemption_bound)
+
+
 def replay_schedule(
     program: Program,
     schedule: Union[Sequence[int], Sequence[Decision]],

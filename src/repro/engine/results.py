@@ -96,6 +96,10 @@ class ExecutionResult:
     crash: Optional[BaseException] = None
     #: Why an :attr:`Outcome.ABORTED` execution was cut short (watchdog).
     abort_reason: Optional[str] = None
+    #: The preemption bound the execution ran under: its thread decisions
+    #: index the options that bound left.  An ICB record carries its own
+    #: sweep's bound, not the checker's ceiling.
+    preemption_bound: Optional[int] = None
     #: The live program instance at the end of the run; only populated
     #: when ``ExecutorConfig.keep_instance`` is set (post-mortem
     #: inspection, e.g. deadlock explanations).

@@ -21,7 +21,6 @@ from repro.core.policies import PolicyFactory
 from repro.engine.coverage import CoverageTracker
 from repro.engine.executor import ExecutorConfig, GuidedChooser
 from repro.engine.results import ExecutionResult, ExplorationResult
-from repro.engine.snapshots import PrefixSnapshotCache
 from repro.engine.strategies.base import ExplorationLimits, SearchStrategy
 
 
@@ -65,19 +64,13 @@ class BfsStrategy(SearchStrategy):
         # queue can never leave the subtree because children only extend
         # their parent's guide.
         self.queue: deque = deque([list(prefix or [])])
-        #: Prefix-snapshot cache.  BFS revisits prefixes level by level
-        #: with no lexicographic order, so there is no sound eager
-        #: invalidation — the LRU memory budget is the only bound.
-        self.snapshot_cache = PrefixSnapshotCache.from_config(
-            self.config, program, observer=observer)
 
     # ------------------------------------------------------------------
     def _has_work(self) -> bool:
         return bool(self.queue)
 
     def _run_once(self) -> ExecutionResult:
-        return self._execute(GuidedChooser(self.queue[0]),
-                             snapshot_cache=self.snapshot_cache)
+        return self._execute(GuidedChooser(self.queue[0]))
 
     def _advance(self, record: ExecutionResult) -> None:
         guide: List[int] = self.queue.popleft()

@@ -29,7 +29,6 @@ from repro.core.policies import PolicyFactory
 from repro.engine.coverage import CoverageTracker
 from repro.engine.executor import ExecutorConfig, GuidedChooser, Pruner
 from repro.engine.results import ExecutionResult, ExplorationResult
-from repro.engine.snapshots import PrefixSnapshotCache
 from repro.engine.strategies.base import (
     ExplorationLimits,
     SearchStrategy,
@@ -74,11 +73,6 @@ class DfsStrategy(SearchStrategy):
         self.prefix: List[int] = list(prefix or [])
         self.guide: Optional[List[int]] = list(self.prefix)
         self.completion_rng = random.Random(self.config.seed)
-        #: Prefix-snapshot cache (None unless enabled and the program
-        #: supports it); DFS visits guides in lexicographic order, so
-        #: stale entries are invalidated eagerly on every backtrack.
-        self.snapshot_cache = PrefixSnapshotCache.from_config(
-            self.config, program, observer=observer)
 
     def strategy_label(self) -> str:
         return self._label
@@ -90,8 +84,7 @@ class DfsStrategy(SearchStrategy):
     def _run_once(self) -> ExecutionResult:
         return self._execute(
             GuidedChooser(self.guide), pruner=self.pruner,
-            completion_rng=self.completion_rng,
-            snapshot_cache=self.snapshot_cache)
+            completion_rng=self.completion_rng)
 
     def _next_guide(self, record: ExecutionResult) -> Optional[List[int]]:
         return next_dfs_guide(record.decisions)
@@ -103,13 +96,6 @@ class DfsStrategy(SearchStrategy):
             # exhausted (every longer guide shares the prefix, because a
             # guided replay fixes those decisions).
             self.guide = None
-        if self.snapshot_cache is not None:
-            if self.guide is None:
-                self.snapshot_cache.clear()
-            else:
-                # Lexicographic order makes this complete: a cached prefix
-                # that diverges from the next guide can never match again.
-                self.snapshot_cache.invalidate_not_prefix_of(self.guide)
 
     def _announce(self) -> None:
         if self.observer is not None and self.guide is not None:

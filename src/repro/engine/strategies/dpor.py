@@ -45,14 +45,6 @@ guide and the wakeup tail is forced thread by thread, so recorded
 schedulable set and a DPOR record replays with the ordinary
 ``replay_schedule``/``Checker.replay`` machinery.  Data choices
 (``choose()``) never race; their values are enumerated per step.
-
-The prefix-snapshot cache is deliberately declined: race detection needs
-the resource footprint of *every* step, and resource sets are
-``id()``-based — only valid within one program instance.  A restored
-prefix re-executes on a fresh instance (`snapshots.py`), so footprints
-recorded before the restore could neither be trusted nor recovered.
-Correctness first; the cache keeps accelerating the enumerative
-strategies.
 """
 
 from __future__ import annotations

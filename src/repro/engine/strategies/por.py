@@ -135,17 +135,9 @@ class SleepSets:
         self._executed: Resources = None
 
     # ------------------------------------------------------------------
-    def begin(self, instance, extras, monitored: bool) -> None:
+    def begin(self, instance, monitored: bool) -> None:
         if not monitored:
             self._footprint = footprints(instance)
-        if extras:
-            self.sleep = extras["sleep"]
-            self.options = list(extras["options"])
-            self.sleeps = list(extras["sleeps"])
-
-    def extras(self) -> dict:
-        return {"sleep": self.sleep, "options": tuple(self.options),
-                "sleeps": tuple(self.sleeps)}
 
     def choices(self, position: int, steps: int, options: list,
                 enabled) -> list:
@@ -203,11 +195,9 @@ class SleepSetStrategy(DfsStrategy):
 
     The frontier is plain DFS's (guide) frontier; the sleep sets
     themselves are recomputed deterministically from the guide on every
-    execution, so they need no checkpoint state of their own.  The
-    prefix-snapshot cache applies as for DFS, each snapshot carrying the
-    walk's sleep sets in its extras.  Random completion derives its
-    generator from the decision prefix (not the frontier's), so every
-    record replays with ``replay_schedule``.
+    execution, so they need no checkpoint state of their own.  Random
+    completion derives its generator from the decision prefix (not the
+    frontier's), so every record replays with ``replay_schedule``.
     """
 
     name = "por"
@@ -242,8 +232,7 @@ class SleepSetStrategy(DfsStrategy):
 
     def _run_once(self) -> Optional[ExecutionResult]:
         walk = self._walk = SleepSets(self.guide, pinned=len(self.prefix))
-        record = self._execute(GuidedChooser(self.guide),
-                               snapshot_cache=self.snapshot_cache, hook=walk)
+        record = self._execute(GuidedChooser(self.guide), hook=walk)
         if walk.outside:
             self.guide = None
             return None

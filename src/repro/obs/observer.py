@@ -17,15 +17,12 @@ Metric names (see ``docs/observability.md`` for the full schema):
   ``dpor.wakeup_pruned``, ``dpor.wakeup_abandoned``,
   ``dpor.fairness_skipped``, ``crashes``, ``crashes.quarantined``,
   ``executions.aborted``, ``checkpoints``, ``threads.leaked``,
-  ``executions.replayed_steps``, ``executions.restored_steps``,
-  ``snapshot.hits``, ``snapshot.misses``, ``snapshot.evictions``,
-  ``snapshot.captured_bytes``, ``snapshot.restored_bytes``;
+  ``executions.replayed_steps``;
 * gauges — ``wall.seconds``, ``rate.executions_per_second``,
   ``rate.transitions_per_second``;
 * histograms — ``schedulable_set_size``, ``enabled_set_size``,
   ``steps_per_execution``, ``yields_per_execution``,
-  ``priority_relation_size``, ``snapshot.capture.seconds``,
-  ``snapshot.restore.seconds``.
+  ``priority_relation_size``.
 """
 
 from __future__ import annotations
@@ -190,6 +187,11 @@ class Observer:
                 violations=m.counter("violations").value,
                 divergences=m.counter("divergences").value,
             )
+
+    def prefix_replayed(self, steps: int) -> None:
+        """Prefix transitions re-executed to reach a guided execution's
+        frontier (the replay cost of stateless search)."""
+        self.metrics.counter("executions.replayed_steps").inc(steps)
 
     # ------------------------------------------------------------------
     # per-transition hooks (called from the executor inner loop)
@@ -380,74 +382,6 @@ class Observer:
     def state_hashed(self, fresh: bool) -> None:
         name = "states.new" if fresh else "states.revisited"
         self.metrics.counter(name).inc()
-
-    # ------------------------------------------------------------------
-    # prefix-snapshot cache hooks (called once per execution / capture,
-    # not per transition, so dynamic counter lookups are fine here)
-    # ------------------------------------------------------------------
-    def snapshot_lookup(self, hit: bool, restored_steps: int) -> None:
-        """One cache lookup at the start of a guided execution."""
-        self.metrics.counter("snapshot.hits" if hit
-                             else "snapshot.misses").inc()
-        if restored_steps:
-            self.metrics.counter("executions.restored_steps").inc(
-                restored_steps)
-
-    def snapshot_stored(self, entries: int, estimated_bytes: int) -> None:
-        self.metrics.counter("snapshot.stored").inc()
-        self.metrics.gauge("snapshot.entries").set(entries)
-        self.metrics.gauge("snapshot.estimated_bytes").set(estimated_bytes)
-
-    def snapshot_evicted(self, count: int) -> None:
-        self.metrics.counter("snapshot.evictions").inc(count)
-
-    def snapshot_oversized(self, estimated_bytes: int) -> None:
-        """An entry was refused because its estimated size alone exceeds
-        the cache's memory budget (storing it would pin the cache over
-        budget forever)."""
-        self.metrics.counter("snapshot.oversized").inc()
-        self.metrics.counter("snapshot.oversized_bytes").inc(
-            estimated_bytes)
-
-    def prefix_replayed(self, steps: int) -> None:
-        """Prefix transitions re-executed through the full engine loop
-        (the cost the snapshot cache removes; counted even with the cache
-        off so benchmarks can report the reduction)."""
-        self.metrics.counter("executions.replayed_steps").inc(steps)
-
-    def snapshot_capture_timed(self, seconds: float,
-                               estimated_bytes: int,
-                               outcome: str = "stored") -> None:
-        """Measured cost of one snapshot capture (docs/profiling.md).
-
-        Fed by the same ``perf_counter`` pair that feeds the ``snapshot``
-        phase timer, so capture + refresh + restore histogram sums
-        account for the phase total.  ``outcome`` distinguishes captures
-        that stored a new entry from refresh-only calls (the key was
-        already cached — an LRU touch, no state captured) and refused
-        oversized entries, so the amortization report doesn't charge
-        refreshes as if they copied state.
-        """
-        if outcome == "stored":
-            self.metrics.histogram("snapshot.capture.seconds").record(
-                seconds)
-        else:
-            if outcome == "refreshed":
-                self.metrics.counter("snapshot.refreshes").inc()
-            self.metrics.histogram("snapshot.capture.refresh.seconds"
-                                   ).record(seconds)
-        if estimated_bytes:
-            self.metrics.counter("snapshot.captured_bytes").inc(
-                estimated_bytes)
-
-    def snapshot_restore_timed(self, seconds: float,
-                               estimated_bytes: int) -> None:
-        """Measured cost of one cache lookup/fast-forward (0 bytes on a
-        miss; also covers signature replay into the coverage tracker)."""
-        self.metrics.histogram("snapshot.restore.seconds").record(seconds)
-        if estimated_bytes:
-            self.metrics.counter("snapshot.restored_bytes").inc(
-                estimated_bytes)
 
     # ------------------------------------------------------------------
     # reporting

@@ -1,24 +1,17 @@
 """Benchmark regression comparison: diff two BENCH_*.json documents.
 
 ``repro bench compare BASELINE.json CURRENT.json`` guards the BENCH
-trajectory: nothing else stops a future change from silently regressing
-the hotpath's 7× replayed-steps win or the parallel speedup.  The
+trajectory: nothing else stops a future change from silently changing
+DPOR's execution counts or regressing the parallel speedup.  The
 comparator understands the shared BENCH schema (top-level ``bench`` /
 ``entries``; entries keyed by ``(program, strategy)``; runs keyed by
-their identity field — ``snapshot_cache`` for hotpath, ``workers`` for
-parallel) and applies per-metric direction rules:
+their ``workers`` field) and applies per-metric direction rules:
 
 * ``seconds`` — lower is better, compared with a relative noise
   tolerance (default ±20%);
-* ``speedup``, ``replayed_reduction``, ``cache_speedup`` — higher is
-  better, same tolerance.  ``cache_speedup`` (wall-off / wall-on) is
-  the hotpath's gated wall-clock metric: a ratio measured on one host
-  transfers to another, where absolute seconds do not;
+* ``speedup`` — higher is better, same tolerance;
 * ``ok``, ``executions``, ``transitions`` — determinism contract:
   any mismatch is a regression regardless of tolerance;
-* ``replayed_steps``, ``restored_steps``, ``snapshot_hits``,
-  ``snapshot_misses`` — informational (the replayed-step cut is already
-  gated through the ``replayed_reduction`` ratio);
 * provenance/config fields (``host``, ``cpu_count``, ``scale``,
   ``depth_bound``, ...) — differences become warnings, never
   regressions, because a config drift makes the timing comparison
@@ -44,27 +37,19 @@ NOISE_FLOOR_SECONDS = 0.02
 _DIRECTION = {
     "seconds": "lower",
     "speedup": "higher",
-    "replayed_reduction": "higher",
-    "cache_speedup": "higher",
 }
 
 #: Determinism contract: must match exactly between runs.
 _EXACT = ("ok", "executions", "transitions")
 
-#: Interesting but not gated.
-_INFO = ("replayed_steps", "restored_steps", "snapshot_hits",
-         "snapshot_misses", "capture_seconds", "refresh_seconds",
-         "restore_seconds", "captured_bytes", "restored_bytes")
-
 #: Entry/document fields treated as provenance: drift warns.
 _PROVENANCE = (
     "scale", "cpu_count", "host", "platform", "python", "worker_counts",
-    "depth_bound", "preemption_bound", "snapshot_interval",
-    "max_executions",
+    "depth_bound", "preemption_bound", "max_executions",
 )
 
 #: Run identity fields, in probe order.
-_RUN_KEYS = ("snapshot_cache", "workers")
+_RUN_KEYS = ("workers",)
 
 
 @dataclass
@@ -75,7 +60,7 @@ class ComparedValue:
     metric: str
     baseline: object
     current: object
-    status: str  # "ok" | "regression" | "improvement" | "info" | "drift"
+    status: str  # "ok" | "regression" | "improvement" | "drift"
     change: Optional[float] = None  # relative change, when numeric
 
     def describe(self) -> str:
@@ -119,10 +104,9 @@ class BenchComparison:
         if not interesting:
             lines.append("  no changes beyond tolerance")
         lines.extend(f"  warning: {w}" for w in self.warnings)
-        checked = sum(1 for v in self.values if v.status != "info")
         lines.append(
             f"result: {'OK' if self.ok else 'REGRESSION'} "
-            f"({checked} metrics checked, {len(self.regressions)} "
+            f"({len(self.values)} metrics checked, {len(self.regressions)} "
             f"regressions, {len(self.improvements)} improvements)"
         )
         return "\n".join(lines)
@@ -166,12 +150,6 @@ class _Differ:
         self.comparison.values.append(ComparedValue(
             path=path, metric=metric, baseline=baseline, current=current,
             status=status,
-        ))
-
-    def info(self, path: str, metric: str, baseline, current) -> None:
-        self.comparison.values.append(ComparedValue(
-            path=path, metric=metric, baseline=baseline, current=current,
-            status="info",
         ))
 
     def provenance(self, path: str, metric: str, baseline, current) -> None:
@@ -226,8 +204,6 @@ class _Differ:
                 self.directional(path, metric, base, cur, _DIRECTION[metric])
             elif metric in _EXACT:
                 self.exact(path, metric, base, cur)
-            elif metric in _INFO:
-                self.info(path, metric, base, cur)
             elif metric in _PROVENANCE:
                 self.provenance(path, metric, base, cur)
         for metric in current:

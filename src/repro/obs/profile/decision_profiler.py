@@ -74,12 +74,10 @@ class DecisionNode:
 class DecisionProfiler:
     """Accumulates executor time into a tree of decision prefixes.
 
-    The executor drives the profiler through three calls (see
+    The executor starts every execution's cursor at :attr:`root` and
+    drives the profiler through three calls (see
     ``repro/engine/executor.py``):
 
-    * :meth:`enter` at execution start — descend to the node of the
-      already-recorded prefix (empty for a fresh execution, the restored
-      decisions after a snapshot fast-forward);
     * :meth:`descend` after every recorded decision — move the cursor
       one level down;
     * :meth:`add_step` after every transition — attribute the
@@ -107,7 +105,7 @@ class DecisionProfiler:
     # executor-facing hot path
     # ------------------------------------------------------------------
     def enter(self, prefix) -> DecisionNode:
-        """Cursor for an execution that already recorded ``prefix``."""
+        """The node of the decision prefix ``prefix`` (created on demand)."""
         node = self.root
         for index in prefix:
             node = self.descend(node, index)

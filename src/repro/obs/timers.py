@@ -1,15 +1,13 @@
 """Phase timers: split exploration wall time into engine phases.
 
-The executor inner loop has six distinguishable costs:
+The executor inner loop has five distinguishable costs:
 
 * ``policy`` — computing the schedulable set ``T`` from ``ES``
   (Algorithm 1's bookkeeping lives here);
 * ``schedule`` — resolving the nondeterministic choice (chooser);
 * ``execute`` — running the chosen transition and its monitors;
 * ``hash`` — state-signature computation for coverage tracking;
-* ``classify`` — divergence classification at the depth bound;
-* ``snapshot`` — prefix-snapshot capture and restore
-  (docs/performance.md).
+* ``classify`` — divergence classification at the depth bound.
 
 Timers use :func:`time.perf_counter` pairs added manually at the call
 sites (a context manager per transition would dominate the measurement);
@@ -24,7 +22,7 @@ from typing import Dict, Iterator, Tuple
 
 #: Canonical phase order for reports.
 PHASES: Tuple[str, ...] = ("policy", "schedule", "execute", "hash",
-                           "classify", "snapshot")
+                           "classify")
 
 
 class PhaseTimers:

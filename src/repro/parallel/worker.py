@@ -87,10 +87,8 @@ def build_shard_strategy(
             observer=observer,
         )
     if strategy_name in ("por", "dpor"):
-        # config rides along so each POR shard builds its own
-        # prefix-snapshot cache (caches are never shared across
-        # processes); DPOR's plan is the single root shard, and it
-        # rejects any other prefix itself.
+        # DPOR's plan is the single root shard, and it rejects any other
+        # prefix itself.
         reducer = SleepSetStrategy if strategy_name == "por" else DporStrategy
         return reducer(
             program, policy_factory, config=config, limits=limits,

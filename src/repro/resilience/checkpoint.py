@@ -97,6 +97,7 @@ def record_to_state(record: ExecutionResult) -> dict:
         "outcome": record.outcome.value,
         "steps": record.steps,
         "preemptions": record.preemptions,
+        "preemption_bound": record.preemption_bound,
         "hit_depth_bound": record.hit_depth_bound,
         "completed_randomly": record.completed_randomly,
         "decisions": [[d.kind, d.index, d.options] for d in record.decisions],
@@ -145,6 +146,7 @@ def record_from_state(state: dict) -> ExecutionResult:
                    for kind, index, options in state.get("decisions", [])],
         steps=state.get("steps", 0),
         preemptions=state.get("preemptions", 0),
+        preemption_bound=state.get("preemption_bound"),
         violation=violation,
         divergence=divergence,
         crash=crash,

@@ -297,65 +297,6 @@ class NativeInstance(ProgramInstance):
         return self.data_choice_handler(n)
 
     # ------------------------------------------------------------------
-    def fast_forward(self, decisions, *,
-                     per_step: Optional[Callable[["NativeInstance"], None]] = None) -> int:
-        """Replay a recorded decision prefix without the engine loop.
-
-        The native runtime's prefix-snapshot restore.  Real OS threads
-        cannot be checkpointed in-process — ``fork(2)`` preserves only
-        the calling thread, so a forked image of this instance would
-        lose every controlled thread parked in its semaphore handshake —
-        but they don't need to be: the determinism contract makes the
-        instance state a function of the decision sequence alone, so
-        driving a *fresh* set of threads through the recorded
-        transitions reproduces it exactly.  What the snapshot saves is
-        every engine-side cost of the prefix (policy updates, chooser,
-        trace recording, coverage hashing, observer hooks), which on the
-        native runtime sits on top of two thread handshakes per step —
-        the most expensive replay in the repo and the one the cache
-        helps most.
-
-        Semantics mirror :meth:`repro.runtime.vm.VirtualMachine.fast_forward`:
-        ``"thread"`` decisions name the tid to step, ``"data"`` decisions
-        carry the values the prefix's ``choose()`` calls returned and are
-        fed back in recorded order through a temporary data-choice
-        handler.  Raises whatever the replayed prefix raises — any
-        exception means the program broke the determinism contract and
-        the caller must fall back to a full replay.
-        """
-        data_values = [d.chosen for d in decisions if d.kind == "data"]
-        cursor = 0
-
-        def feed(n: int) -> int:
-            nonlocal cursor
-            if cursor >= len(data_values):
-                raise ScheduleError(
-                    "fast-forward requested more data choices than the "
-                    "snapshot recorded"
-                )
-            value = data_values[cursor]
-            cursor += 1
-            return value
-
-        saved_handler = self.data_choice_handler
-        self.data_choice_handler = feed
-        executed = 0
-        try:
-            for decision in decisions:
-                if decision.kind != "thread":
-                    continue
-                self.step(decision.chosen)
-                if per_step is not None:
-                    per_step(self)
-                for monitor in self.monitors:
-                    monitor()
-                for temporal in self.temporal_monitors:
-                    temporal.observe()
-                executed += 1
-        finally:
-            self.data_choice_handler = saved_handler
-        return executed
-
     def state_signature(self) -> Optional[Hashable]:
         from repro.statespace.canonical import canonicalize
 
@@ -416,19 +357,6 @@ class NativeEnv:
 
 class NativeProgram(Program):
     """Program factory over real threads."""
-
-    #: Prefix snapshots apply here the same way they do on the VM: a
-    #: cached entry is restored by instantiating fresh threads and
-    #: driving them through the recorded decision log with
-    #: :meth:`NativeInstance.fast_forward`.  The threads themselves are
-    #: re-executed (in-process checkpointing of OS threads is impossible;
-    #: see ``fast_forward``'s docstring on why ``fork(2)`` cannot help),
-    #: but all engine-side prefix costs are skipped — and because each
-    #: native step pays two semaphore handshakes, that replayed prefix
-    #: is the most expensive in the repo, making the cache's savings
-    #: largest exactly here.  Any restore failure falls back to a full
-    #: replay, as everywhere else.
-    supports_snapshot = True
 
     def __init__(self, setup: Callable[[NativeEnv], Any],
                  name: str = "native-program") -> None:

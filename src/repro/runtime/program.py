@@ -79,12 +79,6 @@ class ProgramEnv:
 class VMProgram(Program):
     """A replayable multithreaded program defined by a setup function."""
 
-    #: VM executions are a pure function of the decision sequence, so the
-    #: engine's prefix-snapshot cache applies (docs/performance.md).  The
-    #: native thread runtime advertises the same capability through its
-    #: own replay-log ``fast_forward`` (see :mod:`repro.runtime.native`).
-    supports_snapshot = True
-
     def __init__(self, setup: Callable[[ProgramEnv], Any],
                  name: str = "program") -> None:
         self._setup = setup

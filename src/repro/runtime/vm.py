@@ -10,11 +10,7 @@ search strategies are written against.
 The VM is *stateless-checker friendly*: generator frames cannot be copied,
 so there is no in-place rollback.  The engine revisits program states by
 building a fresh VM (through a :class:`repro.runtime.program.VMProgram`
-factory) and replaying choices.  Because every transition is deterministic,
-the VM *does* support the engine's replay-log snapshot protocol
-(:mod:`repro.engine.snapshots`): :meth:`fast_forward` drives a fresh VM
-through a recorded decision prefix without the engine loop around it, which
-is what the ``supports_snapshot`` capability flag advertises.
+factory) and replaying choices.
 """
 
 from __future__ import annotations
@@ -29,12 +25,6 @@ from repro.statespace.canonical import canonicalize
 
 class VirtualMachine(ProgramInstance):
     """A live execution of a multithreaded program."""
-
-    #: The VM's transitions are a pure function of the decision sequence,
-    #: so the engine may restore prefix states via :meth:`fast_forward`
-    #: (the native thread runtime sets this False and always fully
-    #: replays).
-    supports_snapshot = True
 
     def __init__(self) -> None:
         self._tasks: Dict[int, Task] = {}
@@ -148,60 +138,6 @@ class VirtualMachine(ProgramInstance):
             spawned=tuple(self._spawned_this_step),
             operation=op_desc,
         )
-
-    def fast_forward(self, decisions, *,
-                     per_step: Optional[Callable[["VirtualMachine"], None]] = None) -> int:
-        """Replay a recorded decision prefix without the engine loop.
-
-        This is the reference implementation of the replay-log snapshot
-        restore; :meth:`repro.runtime.native.NativeInstance.fast_forward`
-        mirrors it for real OS threads.
-
-        ``decisions`` is a sequence of engine
-        :class:`~repro.engine.results.Decision` records: ``"thread"``
-        decisions name the tid to step (``chosen``), ``"data"`` decisions
-        carry the value the prefix's ``choose()`` calls returned and are
-        fed back in recorded order through a temporary data-choice
-        handler.  ``per_step`` (engine-supplied) runs after each
-        transition, before the VM-local monitors.
-
-        Returns the number of transitions executed.  Raises whatever the
-        replayed prefix raises — a clean prefix replays cleanly, so any
-        exception here means the program broke the determinism contract
-        and the caller must fall back to a full replay.
-        """
-        data_values = [d.chosen for d in decisions if d.kind == "data"]
-        cursor = 0
-
-        def feed(n: int) -> int:
-            nonlocal cursor
-            if cursor >= len(data_values):
-                raise ScheduleError(
-                    "fast-forward requested more data choices than the "
-                    "snapshot recorded"
-                )
-            value = data_values[cursor]
-            cursor += 1
-            return value
-
-        saved_handler = self.data_choice_handler
-        self.data_choice_handler = feed
-        executed = 0
-        try:
-            for decision in decisions:
-                if decision.kind != "thread":
-                    continue
-                self.step(decision.chosen)
-                if per_step is not None:
-                    per_step(self)
-                for monitor in self.monitors:
-                    monitor()
-                for temporal in self.temporal_monitors:
-                    temporal.observe()
-                executed += 1
-        finally:
-            self.data_choice_handler = saved_handler
-        return executed
 
     # ------------------------------------------------------------------
     # Data nondeterminism

@@ -70,7 +70,6 @@ ALLOWED_CONFIG_KEYS = frozenset({
     "stop_on_first_violation", "stop_on_first_divergence",
     "random_executions", "seed", "workers", "shard_target",
     "execution_budget_seconds", "max_crashes",
-    "snapshot_cache", "snapshot_interval", "snapshot_memory_mb",
 })
 
 

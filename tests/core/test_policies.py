@@ -104,66 +104,6 @@ class TestRoundRobin:
         assert RoundRobinPolicy().schedulable(frozenset()) == frozenset()
 
 
-class TestSnapshotProtocol:
-    """snapshot_state/restore_state round-trips (engine/snapshots.py)."""
-
-    def test_nonfair_is_stateless(self):
-        policy = NonfairPolicy()
-        state = policy.snapshot_state()
-        policy.restore_state(state)
-        assert policy.schedulable(BOTH) == BOTH
-
-    def test_fair_round_trip_restores_priority_and_windows(self):
-        policy = FairPolicy(k=2)
-        for tid in ("t", "u"):
-            policy.register_thread(tid)
-        # Starve t far enough to add a (u, t) edge under k=2.
-        for _ in range(4):
-            policy.observe_step(step("u"))
-            policy.observe_step(step("u", yielded=True))
-        assert policy.schedulable(BOTH) == frozenset({"t"})
-        state = policy.snapshot_state()
-
-        # Mutate past the snapshot: scheduling t drops the edge.
-        policy.observe_step(step("t"))
-        assert policy.schedulable(BOTH) == BOTH
-
-        fresh = FairPolicy(k=2)
-        fresh.restore_state(state)
-        assert fresh.schedulable(BOTH) == frozenset({"t"})
-        assert fresh.algorithm_state.priority != policy.algorithm_state.priority
-        assert fresh.algorithm_state.window_open("u")
-        assert not fresh.algorithm_state.window_open("t")
-        assert fresh.algorithm_state.continuously_enabled("u") == BOTH
-
-    def test_fair_snapshot_is_isolated_from_later_mutation(self):
-        # The captured value must not alias live mutable state: steps
-        # taken after the snapshot may not leak into it (the cache keeps
-        # snapshots around across many executions).
-        policy = FairPolicy()
-        for tid in ("t", "u"):
-            policy.register_thread(tid)
-        state = policy.snapshot_state()
-        for _ in range(2):
-            policy.observe_step(step("u"))
-            policy.observe_step(step("u", yielded=True))
-        assert policy.schedulable(BOTH) == frozenset({"t"})
-        restored = FairPolicy()
-        restored.restore_state(state)
-        assert restored.schedulable(BOTH) == BOTH
-
-    def test_round_robin_round_trip(self):
-        policy = RoundRobinPolicy()
-        for tid in ("a", "b"):
-            policy.register_thread(tid)
-        policy.observe_step(step("a"))
-        state = policy.snapshot_state()
-        policy.observe_step(step("b"))
-        fresh = RoundRobinPolicy()
-        fresh.restore_state(state)
-        assert fresh.schedulable(frozenset({"a", "b"})) == frozenset({"b"})
-
-
 class TestFactories:
     def test_factories_produce_fresh_policies(self):
         factory = fair_policy()

@@ -2,8 +2,8 @@
 
 The coverage *oracle* tests (test_dpor_coverage.py) prove the reduction
 sound; this file exercises the machinery around it: race counters,
-checkpoint round-trips, replayability of its records, the declined
-snapshot cache, and the explicit-transition-system resource path.
+checkpoint round-trips, replayability of its records, and the
+explicit-transition-system resource path.
 """
 
 from repro.checker import Checker
@@ -179,17 +179,6 @@ class TestCheckerIntegration:
         assert replayed.outcome is Outcome.DEADLOCK
         assert [d.chosen for d in replayed.decisions] == \
             [d.chosen for d in record.decisions]
-
-    def test_snapshot_cache_flag_changes_nothing(self):
-        plain = Checker(dining_philosophers(2), strategy="dpor",
-                        fairness=False, depth_bound=300).run()
-        cached = Checker(dining_philosophers(2), strategy="dpor",
-                         fairness=False, depth_bound=300,
-                         snapshot_cache=True).run()
-        assert plain.exploration.executions == cached.exploration.executions
-        assert plain.exploration.transitions == cached.exploration.transitions
-        assert dict(plain.exploration.outcomes) == \
-            dict(cached.exploration.outcomes)
 
     def test_prefix_confinement_rejected(self):
         try:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.checker import Checker
 from repro.core.policies import nonfair_policy
 from repro.engine.executor import ExecutorConfig
 from repro.engine.persistence import (
@@ -76,6 +77,20 @@ class TestRoundTrip:
         # load_and_replay with config=None uses the stored one.
         replayed = load_and_replay(path, racy_program(), nonfair_policy())
         assert replayed.outcome is Outcome.VIOLATION
+
+    def test_icb_record_replays_under_its_sweep_bound(self, tmp_path):
+        # ICB finds the race in sweep cb=1; its decisions index the
+        # options bound 1 left, which bound 3 (the ceiling) changes.
+        checker = Checker(racy_program(), strategy="icb", preemption_bound=3)
+        record = checker.run().violation
+        assert record.preemption_bound == 1
+        path = save_schedule(tmp_path / "bug.json", racy_program(), record,
+                             config=checker.config)
+        assert load_schedule(path)["config"]["preemption_bound"] == 1
+        replayed = load_and_replay(path, racy_program(),
+                                   checker.policy_factory, checker.config)
+        assert replayed.outcome is Outcome.VIOLATION
+        assert replayed.schedule == record.schedule
 
 
 class TestValidation:

@@ -209,10 +209,8 @@ def test_strategy_reaches_the_dfs_verdict(option, strategy):
     checker, result = run(option, strategy)
     assert verdict(result) == OPTIONS[option][2]
     record = result.violation or result.crashed or result.divergence
-    if record is not None and strategy != "icb":
-        # The counterexample is one the plain executor reproduces.  (An
-        # ICB record indexes the options of its own sweep's bound, which
-        # ``Checker.replay`` does not know.)
+    if record is not None:
+        # The counterexample is one the plain executor reproduces.
         replayed = checker.replay(record)
         assert replayed.outcome is record.outcome
         assert [d.chosen for d in replayed.decisions] == \

@@ -134,13 +134,3 @@ class TestEngineIntegration:
         assert profiler.executions > 0
         assert profiler.total_seconds > 0
         assert profiler.to_folded() != ""
-
-    def test_snapshot_cache_enters_at_restored_prefix(self):
-        # With the cache on, fast-forwarded executions enter() at the
-        # restored decision prefix instead of walking from the root —
-        # the tree must still be consistent and attribute all steps.
-        result, profiler = self.run_profiled(
-            "dfs", snapshot_cache=True, snapshot_interval=4,
-            max_executions=60)
-        assert profiler.executions == result.exploration.executions
-        assert profiler.total_seconds > 0

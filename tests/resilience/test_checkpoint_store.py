@@ -52,10 +52,13 @@ class TestRecordRoundTrip:
             steps=12,
             preemptions=2,
             violation=AssertionViolation("x broke"),
+            preemption_bound=3,
         )
         restored = record_from_state(record_to_state(record))
         assert restored.outcome is Outcome.VIOLATION
         assert restored.schedule == [1, 0]
+        # The bound its options were indexed under, for Checker.replay.
+        assert restored.preemption_bound == 3
         assert [d.options for d in restored.decisions] == [3, 2]
         assert isinstance(restored.violation, AssertionViolation)
         assert "x broke" in str(restored.violation)

@@ -139,3 +139,29 @@ class TestOrphanRecovery:
         # The durable record agrees: nothing is stuck in ``running``.
         reloaded = JobStore(tmp_path / "svc").load(job_id)
         assert reloaded.state is JobState.DONE
+
+    def test_recovered_job_with_a_removed_config_key_fails_cleanly(
+            self, tmp_path):
+        # A job queued by an older server may name a Checker option that
+        # no longer exists; recovery skips submit-time validation, so the
+        # quantum itself must fail the job instead of wedging a worker.
+        job_id = self._orphan(tmp_path, "queued")
+        store = JobStore(tmp_path / "svc")
+        payload = json.loads(store.record_path(job_id).read_text())
+        payload["spec"]["config"]["snapshot_cache"] = True
+        store.record_path(job_id).write_text(json.dumps(payload))
+
+        server = CheckServer(tmp_path / "svc", fleet=1)
+        try:
+            healthy = server.submit(SPEC)
+            server.run_until_idle(timeout=120)
+            record = server.job(job_id)
+            assert record.state is JobState.FAILED
+            assert "invalid checker config" in record.error
+            assert "snapshot_cache" in record.error
+            # The one worker moved on to the next job.
+            assert server.job(healthy.id).state is JobState.DONE
+        finally:
+            server.stop()
+        assert JobStore(tmp_path / "svc").load(job_id).state \
+            is JobState.FAILED

@@ -23,6 +23,9 @@ class TestJobSpec:
     def test_validate_rejects_unknown_config_key(self):
         with pytest.raises(ValueError, match="max_execution"):
             spec(config={"max_execution": 10}).validate()
+        # A removed Checker option is as unknown as a typo.
+        with pytest.raises(ValueError, match="snapshot_cache"):
+            spec(config={"snapshot_cache": True}).validate()
 
     def test_validate_rejects_bad_priority(self):
         with pytest.raises(ValueError, match="priority"):
