@@ -237,7 +237,7 @@ def _parallel_checker(workdir: Path, *, observer: Optional[Observer],
     if wedge:
         # Tight liveness clock so a SIGSTOPped worker is detected in
         # test time rather than operator time.
-        overrides.update(heartbeat_interval=0.05, wedge_timeout=1.0)
+        overrides.update(wedge_timeout=1.0)
     return _checker(workdir, observer=observer, checkpoint=False,
                     **overrides)
 

@@ -186,7 +186,6 @@ class Checker:
         workers: int = 1,
         shard_target: Optional[int] = None,
         external_stop=None,
-        heartbeat_interval: float = 0.5,
         wedge_timeout: Optional[float] = 30.0,
     ) -> None:
         if workers < 1:
@@ -201,11 +200,11 @@ class Checker:
         #: behavior; see docs/parallel.md).
         self.workers = workers
         self.shard_target = shard_target
-        #: Seconds between worker liveness heartbeats and the silence
-        #: threshold after which a worker counts as *wedged* (SIGSTOP,
-        #: livelock) and is killed + its shard requeued.  ``None``
-        #: disables wedge detection (docs/parallel.md).
-        self.heartbeat_interval = heartbeat_interval
+        #: Seconds of heartbeat silence after which a worker counts as
+        #: *wedged* (SIGSTOP, livelock) and is killed + its shard
+        #: requeued.  Workers heartbeat ten times per timeout, at least
+        #: every 0.5 s; ``None`` disables heartbeats and wedge detection
+        #: (docs/parallel.md).
         self.wedge_timeout = wedge_timeout
         self.fairness = fairness
         #: Optional :class:`repro.obs.Observer`; None (the default) keeps
@@ -310,47 +309,81 @@ class Checker:
         of worker processes (docs/parallel.md); counted sweeps merge to
         the same totals and verdicts as a serial run.
         """
+        controller = self._resilience_controller(resume_from)
         if self.workers > 1:
-            return self._run_parallel(resume_from)
-        options = self.resilience_options
-        controller = None
-        if (options.enabled or resume_from is not None
-                or self.external_stop is not None):
-            controller = ResilienceController(
-                options,
-                program=self.program,
-                policy_name=self.policy_factory().name,
-                config=self.config,
-                observer=self.observer,
-            )
-            if self.external_stop is not None:
-                controller.attach_stop(self.external_stop)
-        strategy = self._make_strategy(resilience=controller)
+            search = self._make_coordinator(controller)
+        else:
+            search = self._make_strategy(resilience=controller)
         resume_warnings: List[str] = []
         if resume_from is not None:
             payload, resume_warnings = self._load_resume(resume_from)
-            strategy.load_state_dict(payload["state"])
+            search.load_state_dict(payload["state"])
 
-        with self._search_span():
-            if (controller is not None and options.handle_signals
-                    and self.external_stop is None):
-                with GracefulStop() as stop:
-                    controller.attach_stop(stop)
-                    raw = strategy.explore()
-            else:
-                raw = strategy.explore()
-
-        if self.strategy == "icb":
+        with self._search_span(), self._graceful_stop(controller):
+            exploration = (search.run() if self.workers > 1
+                           else search.explore())
+        if self.workers > 1:
+            resume_warnings += search.warnings
+        elif self.strategy == "icb":
             exploration = merge_sweeps(self.program.name,
-                                       self.policy_factory().name, raw)
-        else:
-            exploration = raw
+                                       self.policy_factory().name,
+                                       exploration)
 
         return CheckResult(
             program_name=self.program.name,
             exploration=exploration,
             warnings=self._build_warnings(exploration,
                                           extra=resume_warnings),
+        )
+
+    def _resilience_controller(self, resume_from: Optional[str]):
+        """The run's :class:`ResilienceController`, or None when no
+        resilience option, resume or external stop asks for one."""
+        options = self.resilience_options
+        if not (options.enabled or resume_from is not None
+                or self.external_stop is not None):
+            return None
+        controller = ResilienceController(
+            options,
+            program=self.program,
+            policy_name=self.policy_factory().name,
+            config=self.config,
+            observer=self.observer,
+        )
+        if self.external_stop is not None:
+            controller.attach_stop(self.external_stop)
+        return controller
+
+    def _graceful_stop(self, controller):
+        """The first SIGINT/SIGTERM during the search becomes a graceful
+        stop — when there is a controller, signal handling is on and no
+        external stop owns cancellation."""
+        if (controller is None or not self.resilience_options.handle_signals
+                or self.external_stop is not None):
+            return nullcontext()
+        stop = GracefulStop()
+        controller.attach_stop(stop)
+        return stop
+
+    def _make_coordinator(self, controller):
+        """The ``workers > 1`` search: shard, fan out, merge."""
+        from repro.parallel import ParallelCoordinator
+
+        max_bound = (self.config.preemption_bound
+                     if self.config.preemption_bound is not None else 2)
+        return ParallelCoordinator(
+            self.program, self.policy_factory, self.config, self.limits,
+            strategy=self.strategy,
+            workers=self.workers,
+            shard_target=self.shard_target,
+            seed=self.seed,
+            random_executions=self.random_executions,
+            max_bound=max_bound,
+            coverage=self.coverage,
+            observer=self.observer,
+            resilience=controller,
+            resilience_options=self.resilience_options,
+            wedge_timeout=self.wedge_timeout,
         )
 
     def _load_resume(self, resume_from: str):
@@ -413,62 +446,6 @@ class Checker:
                     f"enable fairness to prune such schedules"
                 )
         return warnings
-
-    def _run_parallel(self, resume_from: Optional[str]) -> CheckResult:
-        """The ``workers > 1`` path: shard, fan out, merge."""
-        from repro.parallel import ParallelCoordinator
-
-        options = self.resilience_options
-        controller = None
-        if (options.enabled or resume_from is not None
-                or self.external_stop is not None):
-            controller = ResilienceController(
-                options,
-                program=self.program,
-                policy_name=self.policy_factory().name,
-                config=self.config,
-                observer=self.observer,
-            )
-            if self.external_stop is not None:
-                controller.attach_stop(self.external_stop)
-        max_bound = (self.config.preemption_bound
-                     if self.config.preemption_bound is not None else 2)
-        coordinator = ParallelCoordinator(
-            self.program, self.policy_factory, self.config, self.limits,
-            strategy=self.strategy,
-            workers=self.workers,
-            shard_target=self.shard_target,
-            seed=self.seed,
-            random_executions=self.random_executions,
-            max_bound=max_bound,
-            coverage=self.coverage,
-            observer=self.observer,
-            resilience=controller,
-            resilience_options=options,
-            heartbeat_interval=self.heartbeat_interval,
-            wedge_timeout=self.wedge_timeout,
-        )
-        resume_warnings: List[str] = []
-        if resume_from is not None:
-            payload, resume_warnings = self._load_resume(resume_from)
-            coordinator.load_state_dict(payload["state"])
-
-        with self._search_span():
-            if (controller is not None and options.handle_signals
-                    and self.external_stop is None):
-                with GracefulStop() as stop:
-                    controller.attach_stop(stop)
-                    exploration = coordinator.run()
-            else:
-                exploration = coordinator.run()
-
-        return CheckResult(
-            program_name=self.program.name,
-            exploration=exploration,
-            warnings=self._build_warnings(
-                exploration,
-                extra=resume_warnings + coordinator.warnings),
-        )
 
     # ------------------------------------------------------------------
     def replay(self, record: ExecutionResult) -> ExecutionResult:

@@ -162,6 +162,29 @@ class ExplorationResult:
         """True when a signal / KeyboardInterrupt stopped the search."""
         return self.stop_reason == "interrupted"
 
+    def absorb(self, other: "ExplorationResult",
+               keep: Optional[int] = None) -> None:
+        """Fold the totals and records of ``other``, a search that ran
+        after every execution counted here, into this result.
+
+        ``other``'s first-violation index is offset by the executions
+        already counted; ``keep`` caps each record list."""
+        executions_before = self.executions
+        self.executions += other.executions
+        self.transitions += other.transitions
+        self.outcomes.update(other.outcomes)
+        for mine, theirs in ((self.violations, other.violations),
+                             (self.deadlocks, other.deadlocks),
+                             (self.divergences, other.divergences),
+                             (self.crashes, other.crashes)):
+            mine.extend(theirs if keep is None else theirs[:keep - len(mine)])
+        self.aborted_executions += other.aborted_executions
+        self.nonterminating_executions += other.nonterminating_executions
+        if (other.first_violation_execution is not None
+                and self.first_violation_execution is None):
+            self.first_violation_execution = (
+                executions_before + other.first_violation_execution)
+
     def livelocks(self) -> List[ExecutionResult]:
         return [r for r in self.divergences
                 if r.divergence and r.divergence.kind is DivergenceKind.LIVELOCK]

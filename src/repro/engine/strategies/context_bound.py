@@ -43,25 +43,9 @@ def merge_sweeps(program_name: str, policy_name: str,
         strategy_name=f"icb(<= {len(sweeps) - 1})",
     )
     for result in sweeps:
-        executions_before = merged.executions
-        merged.executions += result.executions
-        merged.transitions += result.transitions
-        merged.outcomes.update(result.outcomes)
-        merged.violations.extend(result.violations)
-        merged.deadlocks.extend(result.deadlocks)
-        merged.divergences.extend(result.divergences)
-        merged.crashes.extend(result.crashes)
-        merged.aborted_executions += result.aborted_executions
-        merged.nonterminating_executions += result.nonterminating_executions
+        merged.absorb(result)
         merged.wall_seconds += result.wall_seconds
         merged.limit_hit = merged.limit_hit or result.limit_hit
-        if (result.first_violation_execution is not None
-                and merged.first_violation_execution is None):
-            # Offset the sweep-local index by the executions of all
-            # earlier sweeps (not by the cumulative total after this
-            # sweep, which would overcount).
-            merged.first_violation_execution = (
-                executions_before + result.first_violation_execution)
     merged.complete = all(result.complete for result in sweeps)
     if sweeps:
         merged.stop_reason = sweeps[-1].stop_reason

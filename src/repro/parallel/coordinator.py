@@ -15,34 +15,39 @@ Determinism: the shard plan never depends on the worker count, shards
 are merged in shard-index order, and the BFS preamble (the planner's
 interior probe records) is folded first — so the merged totals of a
 counted sweep (no early-stop limits) are byte-identical no matter how
-many workers pulled from the queue.  With ``stop_on_first_violation``
-the *verdict* is deterministic but the totals are not (workers race to
-the stop event), exactly as a serial early stop depends on where the
-violation sits in visit order.
+many workers ran them.  With ``stop_on_first_violation`` the *verdict*
+is deterministic but the totals are not (workers race to the stop
+message), exactly as a serial early stop depends on where the violation
+sits in visit order.
 
-Failure semantics (docs/parallel.md): a worker that dies mid-shard is
-replaced (with exponential backoff under repeated deaths) and its shard
-requeued; a worker that stops *heartbeating* — SIGSTOPped, livelocked —
-is detected by the wedge timeout, SIGKILLed, and treated exactly like a
-crash; a shard that kills its worker ``max_shard_attempts`` times is
-quarantined (surfaced as a warning and an incomplete merged result).  First violation wins: the winning
-worker's shard stops via its own limits, everyone else drains on the
-shared stop event.
+Each worker talks to the coordinator over one private duplex pipe, so
+no lock is shared between processes, and EOF on a worker's end is its
+death notice.  Failure semantics (docs/parallel.md): a worker that dies
+mid-shard is replaced (with exponential backoff under repeated deaths)
+and its shard requeued; a worker that stops *heartbeating* —
+SIGSTOPped, livelocked — is detected by the wedge timeout, SIGKILLed,
+and treated exactly like a crash; a shard that kills its worker more
+than ``DEFAULT_MAX_SHARD_ATTEMPTS`` times is quarantined (surfaced as a
+warning and an incomplete merged result).  First violation wins: the
+winning worker's shard stops via its own limits, everyone else is sent
+``"stop"``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import queue as queue_module
+import threading
 import time
+from multiprocessing import util
+from multiprocessing.connection import wait
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.engine.coverage import CoverageTracker
 from repro.engine.replay import replay_schedule
-from repro.engine.results import ExecutionResult, ExplorationResult, Outcome
-from repro.engine.strategies import ExplorationLimits, merge_sweeps
+from repro.engine.results import ExplorationResult, Outcome
+from repro.engine.strategies import Aggregator, ExplorationLimits, merge_sweeps
 from repro.parallel.shard import (
     DEFAULT_SHARD_TARGET,
     Shard,
@@ -62,9 +67,7 @@ DEFAULT_MAX_SHARD_ATTEMPTS = 2
 #: Seconds the coordinator waits for in-flight shards after a stop.
 _DRAIN_SECONDS = 30.0
 
-#: Default seconds between worker heartbeats / of heartbeat silence
-#: before a worker counts as wedged.
-DEFAULT_HEARTBEAT_INTERVAL = 0.5
+#: Default seconds of heartbeat silence before a worker counts as wedged.
 DEFAULT_WEDGE_TIMEOUT = 30.0
 
 #: Exponential-backoff schedule for worker respawns: first replacement
@@ -72,6 +75,12 @@ DEFAULT_WEDGE_TIMEOUT = 30.0
 #: back off up to the cap so a crash-looping workload can't fork-bomb.
 _RESPAWN_BACKOFF_START = 0.1
 _RESPAWN_BACKOFF_CAP = 5.0
+
+#: Held from pipe creation until the worker's end is closed here, so a
+#: coordinator on another thread (the checking service runs jobs on
+#: several) cannot fork in between: its worker would keep a copy of
+#: that end open and hide this worker's death.
+_SPAWN_LOCK = threading.Lock()
 
 #: Strategies the coordinator knows how to shard.
 PARALLEL_STRATEGIES = ("dfs", "icb", "bfs", "random", "por", "dpor")
@@ -90,20 +99,11 @@ def _fork_context():
         return None
 
 
-class _CoordinatorState:
-    """Checkpoint facade: what ``ResilienceController`` snapshots."""
-
-    name = "parallel"
-
-    def __init__(self, coordinator: "ParallelCoordinator") -> None:
-        self._coordinator = coordinator
-
-    def state_dict(self) -> dict:
-        return self._coordinator._state_dict()
-
-
 class ParallelCoordinator:
     """Shards one search across a pool of forked worker processes."""
+
+    #: What ``ResilienceController`` records as the checkpoint's strategy.
+    name = "parallel"
 
     def __init__(
         self,
@@ -122,8 +122,6 @@ class ParallelCoordinator:
         observer=None,
         resilience=None,
         resilience_options=None,
-        max_shard_attempts: int = DEFAULT_MAX_SHARD_ATTEMPTS,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         wedge_timeout: Optional[float] = DEFAULT_WEDGE_TIMEOUT,
     ) -> None:
         if strategy not in PARALLEL_STRATEGIES:
@@ -147,14 +145,11 @@ class ParallelCoordinator:
         self.observer = observer
         self.resilience = resilience
         self.resilience_options = resilience_options
-        self.max_shard_attempts = max_shard_attempts
-        #: Workers put ``("heartbeat", id)`` on the result queue every
-        #: ``heartbeat_interval`` seconds; a worker silent for longer
-        #: than ``wedge_timeout`` is *wedged* (SIGSTOP, livelock — alive
-        #: to ``is_alive()`` but making no progress), SIGKILLed, and its
-        #: shard requeued like a crashed worker's.  ``wedge_timeout=None``
-        #: disables the detector.
-        self.heartbeat_interval = heartbeat_interval
+        #: Workers heartbeat up their pipes; one silent for longer than
+        #: ``wedge_timeout`` is *wedged* (SIGSTOP, livelock — its pipe
+        #: open but no progress), SIGKILLed, and its shard requeued like
+        #: a crashed worker's.  ``None`` disables the detector and the
+        #: heartbeats.
         self.wedge_timeout = wedge_timeout
         self.warnings: List[str] = []
 
@@ -180,13 +175,10 @@ class ParallelCoordinator:
         # of the stopped run, but never checkpointed — a resume must
         # re-run them from scratch.
         self._partial_states: Dict[int, dict] = {}
-        self._facade = _CoordinatorState(self)
 
         # Pool state ------------------------------------------------------
         self._ctx = _fork_context()
         self._procs: List[SimpleNamespace] = []
-        self._result_queue = None
-        self._stop_event = None
         self._next_worker_id = 0
         #: Monotonic deadlines of replacement workers not yet forked
         #: (exponential backoff after repeated deaths).
@@ -263,7 +255,7 @@ class ParallelCoordinator:
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-    def _state_dict(self) -> dict:
+    def state_dict(self) -> dict:
         state = {
             "strategy": "parallel",
             "inner": self.strategy,
@@ -311,9 +303,9 @@ class ParallelCoordinator:
         if self.resilience is None:
             return
         if force:
-            self.resilience.flush_checkpoint(self._facade)
+            self.resilience.flush_checkpoint(self)
         else:
-            self.resilience.maybe_checkpoint(self._facade)
+            self.resilience.maybe_checkpoint(self)
 
     # ------------------------------------------------------------------
     # the pool
@@ -323,59 +315,55 @@ class ParallelCoordinator:
         return self._ctx is None
 
     def _pool_start(self) -> None:
-        if self.inline:
-            return
-        self._result_queue = self._ctx.Queue()
-        self._stop_event = self._ctx.Event()
-        for _ in range(self.workers):
-            self._spawn_worker()
+        if not self.inline:
+            for _ in range(self.workers):
+                self._spawn_worker()
 
     def _spawn_worker(self) -> None:
-        """Fork a worker with a private task queue.
+        """Fork a worker that talks to the coordinator over one private
+        duplex pipe.
 
-        Each worker gets its own queue so the coordinator — not a shared
-        queue — is the source of truth for which shard a worker holds
-        (``entry.shard``).  A crashed worker therefore gives its shard
-        back even when it died before its queue feeder thread flushed a
-        single message.
+        The coordinator, not the worker, records which shard a worker
+        holds (``entry.shard``), so a worker that dies gives its shard
+        back even if it never sent a byte.  Every fork drops its copy of
+        the coordinator's end, so a worker reads EOF once the coordinator
+        closes that end or dies.
         """
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        task_queue = self._ctx.Queue()
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(worker_id, self.program, self.policy_factory, self.config,
-                  self.shard_limits, self.strategy, self.seed,
-                  self.resilience_options, self.coverage is not None,
-                  self.observer is not None,
-                  task_queue, self._result_queue, self._stop_event,
-                  self.heartbeat_interval),
-            daemon=True,
-        )
-        proc.start()
+        with _SPAWN_LOCK:
+            conn, child_conn = self._ctx.Pipe()
+            util.register_after_fork(conn, lambda end: end.close())
+            proc = self._ctx.Process(
+                target=worker_main,
+                args=(worker_id, self.program, self.policy_factory,
+                      self.config, self.shard_limits, self.strategy,
+                      self.seed, self.resilience_options,
+                      self.coverage is not None, self.observer is not None,
+                      child_conn, self.wedge_timeout),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
         self._procs.append(SimpleNamespace(id=worker_id, proc=proc,
-                                           queue=task_queue, shard=None,
-                                           exited=False,
+                                           conn=conn, shard=None,
                                            last_seen=time.monotonic()))
 
-    def _entry(self, worker_id: int):
-        for entry in self._procs:
-            if entry.id == worker_id:
-                return entry
-        return None
-
-    def _retire_entry(self, entry) -> None:
-        """Drop a dead/wedged worker from the pool and release its task
-        queue (close + join the feeder thread — entries removed outside
-        ``_pool_stop`` would otherwise leak one thread each)."""
-        entry.exited = True
-        if entry in self._procs:
-            self._procs.remove(entry)
+    @staticmethod
+    def _send(entry, message) -> None:
         try:
-            entry.queue.close()
-            entry.queue.join_thread()
-        except Exception:  # pragma: no cover - queue already torn down
+            entry.conn.send(message)
+        except OSError:  # the worker died; EOF on its pipe reports it
             pass
+
+    def _retire(self, entry, *, kill: bool = False) -> None:
+        """Drop a worker from the pool and reap it.  ``kill`` SIGKILLs it
+        first: SIGTERM stays pending on a SIGSTOPped process."""
+        self._procs.remove(entry)
+        entry.conn.close()
+        if kill:
+            entry.proc.kill()
+        entry.proc.join(timeout=5.0)
 
     def _schedule_respawn(self) -> None:
         """Queue a replacement worker with exponential backoff.
@@ -402,40 +390,14 @@ class ParallelCoordinator:
             self._spawn_worker()
 
     def _pool_stop(self) -> None:
-        if self.inline or self._result_queue is None:
-            return
+        """Close every pipe, which tells each worker to exit, and reap
+        them; a worker still running after 10 s is killed."""
         for entry in self._procs:
-            self._drain_queue(entry.queue)
-            entry.queue.put(None)
+            entry.conn.close()
         deadline = time.monotonic() + 10.0
-        while (any(p.proc.is_alive() for p in self._procs)
-               and time.monotonic() < deadline):
-            self._consume_messages(timeout=0.1)
-        for p in self._procs:
-            if p.proc.is_alive():  # pragma: no cover - stuck worker
-                p.proc.terminate()
-                p.proc.join(timeout=1.0)
-            if p.proc.is_alive():  # pragma: no cover - wedged worker
-                # SIGTERM never reaches a SIGSTOPped process; SIGKILL
-                # (Process.kill) takes down even a stopped one.
-                p.proc.kill()
-                p.proc.join(timeout=1.0)
-        # Shut the queues down for real: close() lets each feeder thread
-        # flush and exit, join_thread() waits for it — otherwise every
-        # run leaks one QueueFeederThread per worker.
-        for p in self._procs:
-            p.queue.close()
-            p.queue.join_thread()
-        self._result_queue.close()
-        self._result_queue.join_thread()
-
-    @staticmethod
-    def _drain_queue(q) -> None:
-        while True:
-            try:
-                q.get_nowait()
-            except queue_module.Empty:
-                return
+        for entry in list(self._procs):
+            entry.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            self._retire(entry, kill=entry.proc.is_alive())
 
     # ------------------------------------------------------------------
     # global stop conditions
@@ -516,7 +478,7 @@ class ParallelCoordinator:
                     done = {}
                 self._plan_state = plan.to_state()
                 self._shard_states = done
-                result = self._run_phase(index, bound, plan)
+                result = self._run_phase(bound, plan)
                 phase_results.append(result)
                 if self._stop_reason is None:
                     # Only a phase that ran to its natural end counts as
@@ -549,33 +511,32 @@ class ParallelCoordinator:
         return merged
 
     # ------------------------------------------------------------------
-    def _run_phase(self, phase: int, bound: Optional[int],
+    def _run_phase(self, bound: Optional[int],
                    plan: ShardPlan) -> ExplorationResult:
         pending = [s for s in plan.shards
                    if s.index not in self._shard_states]
-        # A BFS preamble can already decide the search (a probe found a
-        # violation): honor the early-stop rules before dispatching.
+        merged = Aggregator(self.program.name, self.policy_name,
+                            self._phase_label(bound), self.shard_limits)
         if self.strategy == "bfs":
+            # Stateless BFS counts one execution per tree node; the
+            # planner's interior probes are exactly the nodes above the
+            # shard cut, so they belong in the totals — and a probe that
+            # found a violation already decides the search.
             for record in plan.preamble:
                 self._streamed_executions += 1
+                reason = merged.add(record)
                 if self._stop_reason is None:
-                    if (self.limits.stop_on_first_violation and
-                            record.outcome in (Outcome.VIOLATION,
-                                               Outcome.DEADLOCK)):
-                        self._stop_reason = "violation"
-                    elif (self.limits.stop_on_first_divergence
-                          and record.outcome is Outcome.DIVERGENCE):
-                        self._stop_reason = "divergence"
+                    self._stop_reason = reason
         self._check_global_limits()
         quarantined: List[Shard] = []
         if self._stop_reason is None and pending:
             if self.inline:
-                self._run_phase_inline(phase, bound, pending)
+                self._run_phase_inline(bound, pending)
             else:
-                quarantined = self._run_phase_pool(phase, bound, pending)
-        return self._merge_phase(bound, plan, quarantined)
+                quarantined = self._run_phase_pool(bound, pending)
+        return self._merge_phase(merged.result, bound, plan, quarantined)
 
-    def _run_phase_inline(self, phase: int, bound: Optional[int],
+    def _run_phase_inline(self, bound: Optional[int],
                           pending: List[Shard]) -> None:
         """Fallback without fork: same plan, same merge, one process."""
         for shard in pending:
@@ -601,7 +562,7 @@ class ParallelCoordinator:
             self._finish_shard(shard.index, 0, state, signatures,
                                extras=extras)
 
-    def _run_phase_pool(self, phase: int, bound: Optional[int],
+    def _run_phase_pool(self, bound: Optional[int],
                         pending: List[Shard]) -> List[Shard]:
         by_index = {s.index: s for s in pending}
         todo = list(pending)  # dispatch order = shard order
@@ -609,15 +570,18 @@ class ParallelCoordinator:
         attempts: Dict[int, int] = {}
         quarantined: List[Shard] = []
 
-        def handle_crash(worker_id: int, shard_index: Optional[int], *,
-                         wedged: bool = False,
-                         silent: float = 0.0) -> None:
+        def lost(worker_id: int, shard_index: Optional[int], *,
+                 wedged: bool = False, silent: float = 0.0) -> None:
+            """A worker raised, died or wedged holding ``shard_index``.
+            Until the run is stopping, the shard is requeued, and
+            quarantined once it has failed too often; after a stop the
+            verdict is decided, so the failure is only counted."""
             self._crashes += 1
             index = -1 if shard_index is None else shard_index
-            attempts[index] = attempts.get(index, 0) + 1
             requeued = False
-            if shard_index is not None and shard_index in outstanding:
-                if attempts[index] <= self.max_shard_attempts:
+            if self._stop_reason is None and shard_index in outstanding:
+                attempts[index] = attempts.get(index, 0) + 1
+                if attempts[index] <= DEFAULT_MAX_SHARD_ATTEMPTS:
                     requeued = True
                     todo.append(by_index[shard_index])
                 else:
@@ -642,176 +606,93 @@ class ParallelCoordinator:
                         shard=shard_index, worker=worker_id)
             self._check_global_limits()
 
-        def dispatch() -> None:
+        while outstanding and self._stop_reason is None:
+            # Keep the pool at full strength, with backoff on respawns.
+            for _ in range(self.workers - len(self._procs)
+                           - len(self._pending_respawns)):
+                self._schedule_respawn()
+            self._maybe_respawn()
             for entry in self._procs:
                 if not todo:
-                    return
-                if entry.exited or entry.shard is not None:
+                    break
+                if entry.shard is not None:
                     continue
                 shard = todo.pop(0)
                 entry.shard = shard.index
-                entry.queue.put((phase, bound, shard.to_state()))
+                self._send(entry, (bound, shard.to_state()))
                 if self.observer is not None:
                     self.observer.spans.instant(
                         f"shard {shard.index} assigned", "assigned",
                         shard=shard.index, worker=entry.id)
-
-        while outstanding and self._stop_reason is None:
-            self._maybe_respawn()
-            dispatch()
-            self._consume_messages(
-                timeout=0.1, outstanding=outstanding,
-                on_error=handle_crash)
-            self._check_global_limits()
-            if self._stop_reason is not None:
-                break
-            # Look for silently dead workers every pass (heartbeat
-            # traffic keeps the queue busy, so queue idleness is no
-            # longer a crash signal).  Assignment is tracked at dispatch
-            # time, so even a worker that died before its feeder thread
-            # flushed a single message gives its shard back for requeue.
-            for entry in list(self._procs):
-                if entry.exited or entry.proc.is_alive():
-                    continue
-                self._retire_entry(entry)
-                handle_crash(entry.id, entry.shard)
-                if outstanding and self._stop_reason is None:
-                    self._schedule_respawn()
-            # Wedge detection: a SIGSTOPped or livelocked worker is
-            # alive to ``is_alive()`` but heartbeat-silent.  SIGKILL is
-            # deliberate — SIGTERM stays pending on a stopped process.
-            if self.wedge_timeout is not None:
-                now = time.monotonic()
-                for entry in list(self._procs):
-                    if entry.exited or not entry.proc.is_alive():
-                        continue
-                    silent = now - entry.last_seen
-                    if silent < self.wedge_timeout:
-                        continue
-                    entry.proc.kill()
-                    entry.proc.join(timeout=5.0)
-                    self._retire_entry(entry)
-                    self.warnings.append(
-                        f"worker {entry.id} made no progress for "
-                        f"{silent:.1f}s (wedged); killed"
-                    )
-                    handle_crash(entry.id, entry.shard, wedged=True,
-                                 silent=silent)
-                    if outstanding and self._stop_reason is None:
-                        self._schedule_respawn()
-            if (not any(p.proc.is_alive() for p in self._procs)
-                    and not self._pending_respawns):
-                if outstanding and self._stop_reason is None:
-                    # The whole pool died faster than it could be
-                    # replaced; surface rather than spin forever.
-                    self._stop_reason = "max-crashes"
+            self._supervise(outstanding, lost)
 
         if self._stop_reason is not None and outstanding:
-            # Coordinated stop: tell the workers, then collect whatever
-            # partial shard results are still in flight.  Crashes during
-            # the drain are counted but nothing is requeued or
-            # quarantined — the merged verdict is already decided.
-            if self._stop_event is not None:
-                self._stop_event.set()
+            # Coordinated stop: tell the busy workers, then collect the
+            # partial shard results still in flight.
             for entry in self._procs:
-                self._drain_queue(entry.queue)
-
-            def drain_crash(worker_id: int,
-                            shard_index: Optional[int]) -> None:
-                self._crashes += 1
-                if self.observer is not None:
-                    self.observer.worker_crashed(
-                        worker_id,
-                        -1 if shard_index is None else shard_index,
-                        False)
-
+                if entry.shard is not None:
+                    self._send(entry, "stop")
             deadline = time.monotonic() + _DRAIN_SECONDS
-            while (any(e.shard is not None and not e.exited
-                       for e in self._procs)
+            while (any(entry.shard is not None for entry in self._procs)
                    and time.monotonic() < deadline):
-                self._consume_messages(timeout=0.1, outstanding=outstanding,
-                                       on_error=drain_crash)
-                for entry in self._procs:
-                    if not entry.exited and not entry.proc.is_alive():
-                        entry.exited = True
-                        drain_crash(entry.id, entry.shard)
-                        entry.shard = None
-                    elif (not entry.exited
-                          and self.wedge_timeout is not None
-                          and (time.monotonic() - entry.last_seen
-                               > self.wedge_timeout)):
-                        # A wedged worker would hold the drain open for
-                        # the full deadline; kill it now.
-                        entry.proc.kill()
-                        entry.proc.join(timeout=5.0)
-                        entry.exited = True
-                        drain_crash(entry.id, entry.shard)
-                        entry.shard = None
+                self._supervise(outstanding, lost)
         return quarantined
 
-    def _consume_messages(self, *, timeout: float, outstanding=None,
-                          on_error=None) -> bool:
-        """Handle every queued worker message; True if any arrived."""
-        if self._result_queue is None:
-            return False
-        progressed = False
-        block = timeout
-        while True:
+    def _supervise(self, outstanding: Set[int], lost) -> None:
+        """One pass over the pool: wait up to 0.1 s, handle one message
+        from each worker that sent one, and hand the shard of every dead
+        or wedged worker to ``lost``."""
+        # Silence is judged as of the pass start, so time the coordinator
+        # itself spends below (a slow observer) never counts against a
+        # worker.
+        now = time.monotonic()
+        by_conn = {entry.conn: entry for entry in self._procs}
+        for conn in wait(list(by_conn), timeout=0.1):
+            entry = by_conn[conn]
             try:
-                message = self._result_queue.get(timeout=block)
-            except queue_module.Empty:
-                return progressed
-            progressed = True
-            block = 0.0  # drain without further blocking
-            kind = message[0]
-            # Any message proves its worker is making progress (every
-            # message kind carries the worker id in slot 1).
-            if len(message) > 1:
-                entry = self._entry(message[1])
-                if entry is not None:
-                    entry.last_seen = time.monotonic()
-            if kind == "heartbeat":
+                message = conn.recv()
+            except (EOFError, OSError):
+                # EOF on a worker's pipe is its death notice.
+                self._retire(entry)
+                lost(entry.id, entry.shard)
                 continue
+            entry.last_seen = time.monotonic()
+            kind = message[0]
             if kind == "start":
-                _, worker_id, _, shard_index = message
                 if self.observer is not None:
-                    self.observer.shard_started(
-                        shard_index, worker_id, "")
+                    self.observer.shard_started(message[1], entry.id, "")
             elif kind == "execution":
-                (_, _, _, _, outcome_value, steps, preemptions,
-                 hit_depth_bound) = message
-                self._on_streamed_execution(outcome_value, steps,
-                                            preemptions, hit_depth_bound)
+                self._on_streamed_execution(*message[1:])
             elif kind == "done":
-                (_, worker_id, _, shard_index, state, signatures,
-                 extras) = message
-                entry = self._entry(worker_id)
-                if entry is not None and entry.shard == shard_index:
-                    entry.shard = None
-                # A completed shard proves the pool is healthy again:
-                # reset the respawn backoff.
+                _, shard_index, state, signatures, extras = message
+                entry.shard = None
+                # A completed shard proves the pool is healthy again.
                 self._respawn_backoff = 0.0
-                if outstanding is not None:
-                    outstanding.discard(shard_index)
-                self._finish_shard(worker_id=worker_id,
-                                   shard_index=shard_index, state=state,
-                                   signatures=signatures, extras=extras)
+                outstanding.discard(shard_index)
+                self._finish_shard(shard_index, entry.id, state,
+                                   signatures, extras)
             elif kind == "error":
-                _, worker_id, _, shard_index, text = message
-                entry = self._entry(worker_id)
-                if entry is not None and entry.shard == shard_index:
-                    entry.shard = None
+                _, shard_index, text = message
+                entry.shard = None
                 self.warnings.append(
-                    f"worker {worker_id} failed on shard {shard_index}: "
+                    f"worker {entry.id} failed on shard {shard_index}: "
                     f"{text.strip().splitlines()[-1]}"
                 )
-                if on_error is not None:
-                    on_error(worker_id, shard_index)
-            elif kind == "exit":
-                _, worker_id = message
-                entry = self._entry(worker_id)
-                if entry is not None:
-                    entry.exited = True
+                lost(entry.id, shard_index)
+        if self.wedge_timeout is not None:
+            # A SIGSTOPped or livelocked worker keeps its pipe open but
+            # goes heartbeat-silent.
+            for entry in list(self._procs):
+                silent = now - entry.last_seen
+                if silent < self.wedge_timeout:
+                    continue
+                self._retire(entry, kill=True)
+                self.warnings.append(
+                    f"worker {entry.id} made no progress for "
+                    f"{silent:.1f}s (wedged); killed"
+                )
+                lost(entry.id, entry.shard, wedged=True, silent=silent)
+        self._check_global_limits()
 
     def _finish_shard(self, shard_index: int, worker_id: int, state: dict,
                       signatures, extras: Optional[dict] = None) -> None:
@@ -853,78 +734,21 @@ class ParallelCoordinator:
     # ------------------------------------------------------------------
     # merging
     # ------------------------------------------------------------------
-    def _fold_record(self, merged: ExplorationResult,
-                     record: ExecutionResult) -> None:
-        """Fold one preamble record, mirroring ``Aggregator.add``."""
-        keep = self.limits.keep_records
-        merged.executions += 1
-        merged.transitions += record.steps
-        merged.outcomes[record.outcome] += 1
-        if record.hit_depth_bound:
-            merged.nonterminating_executions += 1
-        if record.outcome is Outcome.VIOLATION:
-            if len(merged.violations) < keep:
-                merged.violations.append(record)
-            if merged.first_violation_execution is None:
-                merged.first_violation_execution = merged.executions
-        elif record.outcome is Outcome.DEADLOCK:
-            if len(merged.deadlocks) < keep:
-                merged.deadlocks.append(record)
-            if merged.first_violation_execution is None:
-                merged.first_violation_execution = merged.executions
-        elif record.outcome is Outcome.DIVERGENCE:
-            if len(merged.divergences) < keep:
-                merged.divergences.append(record)
-        elif record.outcome is Outcome.CRASHED:
-            if len(merged.crashes) < keep:
-                merged.crashes.append(record)
-        elif record.outcome is Outcome.ABORTED:
-            merged.aborted_executions += 1
-
-    def _merge_phase(self, bound: Optional[int], plan: ShardPlan,
+    def _merge_phase(self, merged: ExplorationResult,
+                     bound: Optional[int], plan: ShardPlan,
                      quarantined: List[Shard]) -> ExplorationResult:
-        merged = ExplorationResult(
-            program_name=self.program.name,
-            policy_name=self.policy_name,
-            strategy_name=self._phase_label(bound),
-        )
-        if self.strategy == "bfs":
-            # Stateless BFS counts one execution per tree node; the
-            # planner's interior probes are exactly the nodes above the
-            # shard cut, so they belong in the totals.
-            for record in plan.preamble:
-                self._fold_record(merged, record)
-        missing = 0
+        """Fold the shard results, in shard order, into ``merged`` (which
+        already holds the BFS preamble)."""
         all_complete = True
         for shard in plan.shards:
             state = self._shard_states.get(shard.index)
             if state is None:
                 state = self._partial_states.get(shard.index)
             if state is None:
-                missing += 1
                 all_complete = False
                 continue
             result = exploration_from_state(state)
-            executions_before = merged.executions
-            merged.executions += result.executions
-            merged.transitions += result.transitions
-            merged.outcomes.update(result.outcomes)
-            keep = self.limits.keep_records
-            merged.violations.extend(
-                result.violations[:keep - len(merged.violations)])
-            merged.deadlocks.extend(
-                result.deadlocks[:keep - len(merged.deadlocks)])
-            merged.divergences.extend(
-                result.divergences[:keep - len(merged.divergences)])
-            merged.crashes.extend(
-                result.crashes[:keep - len(merged.crashes)])
-            merged.aborted_executions += result.aborted_executions
-            merged.nonterminating_executions += (
-                result.nonterminating_executions)
-            if (result.first_violation_execution is not None
-                    and merged.first_violation_execution is None):
-                merged.first_violation_execution = (
-                    executions_before + result.first_violation_execution)
+            merged.absorb(result, keep=self.limits.keep_records)
             all_complete = all_complete and result.complete
         merged.complete = (all_complete and not quarantined
                            and self._stop_reason is None

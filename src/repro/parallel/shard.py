@@ -39,7 +39,7 @@ from repro.engine.results import ExecutionResult
 
 #: Default number of shards a plan aims for.  A fixed constant (not a
 #: function of the worker count!) so totals cannot depend on how many
-#: workers happened to pull from the queue.
+#: workers happened to run them.
 DEFAULT_SHARD_TARGET = 16
 
 #: Probe budget multiplier: planning stops after this many probes per

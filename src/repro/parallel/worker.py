@@ -10,21 +10,20 @@ Everything here is usable in two modes:
 
 * :func:`run_shard` — in-process, used by the coordinator's inline
   fallback (platforms without ``fork``) and by unit tests;
-* :func:`worker_main` — the target of a forked worker process, pulling
-  shard descriptions off the task queue until it sees the ``None``
-  sentinel or the coordinator's stop event.
+* :func:`worker_main` — the target of a forked worker process, reading
+  shards from its private pipe to the coordinator until it reads EOF.
 
 Workers ignore SIGINT/SIGTERM: operator signals are the *coordinator's*
-to handle (it converts them into the shared stop event so every worker
+to handle (it sends ``"stop"`` down every busy worker's pipe so each
 winds down gracefully and a final merged checkpoint can be flushed).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import queue as queue_module
 import signal
 import threading
+import time
 import traceback
 from typing import Callable, List, Optional, Tuple
 
@@ -126,8 +125,8 @@ def run_shard(
 
     ``on_execution(record)`` streams per-execution telemetry;
     ``stop_check()`` returning a reason requests a graceful stop at the
-    next iteration boundary (the coordinator's stop event, or the inline
-    mode's global limit bookkeeping).
+    next iteration boundary (a ``"stop"`` from the coordinator, or the
+    inline mode's global limit bookkeeping).
 
     ``telemetry`` enables a shard-local :class:`repro.obs.Observer`:
     ``extras`` then carries the shard's phase-timer totals and wall-clock
@@ -175,33 +174,31 @@ def run_shard(
     return exploration_to_state(result), signatures, extras
 
 
-def _start_heartbeat(worker_id: int, result_queue,
-                     interval: float) -> threading.Event:
-    """Liveness beacon: a daemon thread that puts ``("heartbeat", id)``
-    on the result queue every ``interval`` seconds.
+def _start_heartbeat(worker_id: int, send: Callable,
+                     interval: float) -> None:
+    """Liveness beacon: a daemon thread that sends ``("heartbeat",)`` up
+    the worker's pipe every ``interval`` seconds until the pipe closes.
 
     The coordinator treats prolonged silence as a *wedged* worker
-    (SIGSTOP, livelocked user code) — ``proc.is_alive()`` cannot tell a
-    stopped process from a busy one, the heartbeat can.  The chaos
+    (SIGSTOP, livelocked user code): a stopped process keeps its pipe
+    open, so only the heartbeat can tell it from a busy one.  The chaos
     ``clock-stall`` fault kills just this thread, simulating a worker
     whose work continues but whose liveness signal died.
     """
-    cancel = threading.Event()
 
     def beat() -> None:
-        while not cancel.wait(interval):
+        while True:
+            time.sleep(interval)
             rule = fault_at("worker.heartbeat", worker=worker_id)
             if rule is not None and rule.kind == "clock-stall":
                 return
             try:
-                result_queue.put(("heartbeat", worker_id))
-            except Exception:  # queue torn down: the worker is exiting
+                send(("heartbeat",))
+            except OSError:
                 return
 
-    thread = threading.Thread(target=beat, daemon=True,
-                              name=f"repro-heartbeat-{worker_id}")
-    thread.start()
-    return cancel
+    threading.Thread(target=beat, daemon=True,
+                     name=f"repro-heartbeat-{worker_id}").start()
 
 
 def worker_main(
@@ -215,18 +212,29 @@ def worker_main(
     resilience_options: Optional[ResilienceOptions],
     collect_coverage: bool,
     telemetry: bool,
-    task_queue,
-    result_queue,
-    stop_event,
-    heartbeat_interval: float = 0.5,
+    conn,
+    wedge_timeout: Optional[float] = None,
 ) -> None:
-    """Entry point of one forked worker process."""
+    """Entry point of one forked worker process.
+
+    ``conn`` is the worker's end of its private duplex pipe.  Down it
+    come ``(bound, shard_state)`` tasks and ``"stop"``; up it go
+    ``start``/``execution``/``heartbeat``/``done``/``error`` messages.
+    EOF on it — the coordinator closed its end or died — ends the
+    worker.  With a ``wedge_timeout`` the worker heartbeats ten times
+    per timeout, at least every 0.5 s.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    heartbeat_cancel = None
-    if heartbeat_interval and heartbeat_interval > 0:
-        heartbeat_cancel = _start_heartbeat(worker_id, result_queue,
-                                            heartbeat_interval)
+    lock = threading.Lock()
+
+    def send(message) -> None:
+        # The main and heartbeat threads share the pipe.
+        with lock:
+            conn.send(message)
+
+    if wedge_timeout is not None:
+        _start_heartbeat(worker_id, send, min(0.5, wedge_timeout / 10))
     options = resilience_options or ResilienceOptions()
     options = dataclasses.replace(options, checkpoint_path=None,
                                   handle_signals=False)
@@ -239,29 +247,21 @@ def worker_main(
         options.quarantine_dir, prefix=f"crash-w{worker_id}")
     try:
         while True:
-            if stop_event.is_set():
-                break
-            try:
-                item = task_queue.get(timeout=0.2)
-            except queue_module.Empty:
+            item = conn.recv()
+            if item == "stop":  # raced the end of its shard: nothing to stop
                 continue
-            if item is None:
-                break
-            phase, bound, shard_state = item
+            bound, shard_state = item
             shard = Shard.from_state(shard_state)
-            result_queue.put(("start", worker_id, phase, shard.index))
+            send(("start", shard.index))
 
-            def on_execution(record, phase=phase, index=shard.index):
+            def on_execution(record, index=shard.index):
                 # Chaos fault point: a worker-kill rule SIGKILLs, a
                 # worker-stall rule SIGSTOPs this process right here,
                 # mid-shard — the coordinator must recover either way.
                 fault_at("worker.execution", worker=worker_id,
                          shard=index)
-                result_queue.put((
-                    "execution", worker_id, phase, index,
-                    record.outcome.value, record.steps, record.preemptions,
-                    record.hit_depth_bound,
-                ))
+                send(("execution", record.outcome.value, record.steps,
+                      record.preemptions, record.hit_depth_bound))
 
             try:
                 state, signatures, extras = run_shard(
@@ -269,17 +269,13 @@ def worker_main(
                     shard, seed=seed, bound=bound,
                     collect_coverage=collect_coverage,
                     on_execution=on_execution,
-                    stop_check=(lambda: "coordinator"
-                                if stop_event.is_set() else None),
-                    controller=controller,
-                    telemetry=telemetry,
+                    # Anything readable mid-shard, "stop" or EOF, ends it.
+                    stop_check=lambda: "coordinator" if conn.poll() else None,
+                    controller=controller, telemetry=telemetry,
                 )
-                result_queue.put(("done", worker_id, phase, shard.index,
-                                  state, signatures, extras))
+                reply = ("done", shard.index, state, signatures, extras)
             except Exception:
-                result_queue.put(("error", worker_id, phase, shard.index,
-                                  traceback.format_exc()))
-    finally:
-        if heartbeat_cancel is not None:
-            heartbeat_cancel.set()
-        result_queue.put(("exit", worker_id))
+                reply = ("error", shard.index, traceback.format_exc())
+            send(reply)
+    except (EOFError, OSError):
+        pass  # the coordinator is gone or done: nothing left to work for

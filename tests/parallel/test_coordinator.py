@@ -7,6 +7,11 @@ the observability contract (events, metrics, progress parity).
 """
 
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -53,21 +58,85 @@ def counted(program, **kwargs):
 
 class TestWorkerCrashes:
     def test_crashing_shard_is_requeued_then_quarantined(self):
-        sink = CollectingSink()
-        result = counted(killer_program(os.getpid()), workers=2,
-                         observer=Observer(sink=sink)).run()
-        crashes = sink.of_type(WorkerCrashed)
-        assert crashes, "worker deaths must surface as WorkerCrashed events"
-        assert any(e.requeued for e in crashes), "first death retries"
-        assert any(not e.requeued for e in crashes), \
-            "exhausted retries quarantine the shard"
-        assert not result.exploration.complete
-        assert any("quarantined" in w for w in result.warnings)
+        # Without heartbeats (wedge_timeout=None) the closed pipe alone
+        # must report each death.
+        for wedge_timeout in (30.0, None):
+            sink = CollectingSink()
+            result = counted(killer_program(os.getpid()), workers=2,
+                             wedge_timeout=wedge_timeout,
+                             observer=Observer(sink=sink)).run()
+            crashes = sink.of_type(WorkerCrashed)
+            assert crashes, \
+                "worker deaths must surface as WorkerCrashed events"
+            assert any(e.requeued for e in crashes), "first death retries"
+            assert any(not e.requeued for e in crashes), \
+                "exhausted retries quarantine the shard"
+            assert not result.exploration.complete
+            assert any("quarantined" in w for w in result.warnings)
 
     def test_healthy_shards_still_merge_around_the_quarantine(self):
         result = counted(killer_program(os.getpid()), workers=2).run()
         # The crash-free subtrees (u reads before t writes) still count.
         assert result.exploration.executions > 0
+
+
+#: A ``workers=2`` search that prints its worker pids once the first
+#: shard has started.
+ORPHAN_SCRIPT = """
+import multiprocessing
+from repro.checker import Checker
+from repro.obs import Observer
+from repro.workloads.dining import dining_philosophers
+
+class Announce(Observer):
+    announced = False
+
+    def shard_started(self, shard, worker, description):
+        super().shard_started(shard, worker, description)
+        if not self.announced:
+            self.announced = True
+            print(*[p.pid for p in multiprocessing.active_children()],
+                  flush=True)
+
+Checker(dining_philosophers(3), depth_bound=400, preemption_bound=3,
+        workers=2, handle_signals=False, observer=Announce()).run()
+"""
+
+
+def process_alive(pid):
+    """True while ``pid`` runs; a zombie waiting to be reaped is dead."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads process states from /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_coordinator_is_killed(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        command = [sys.executable, "-c", ORPHAN_SCRIPT]
+        env = dict(os.environ, PYTHONPATH=src)
+        with subprocess.Popen(command, stdout=subprocess.PIPE, text=True,
+                              env=env) as coordinator:
+            try:
+                pids = [int(pid)
+                        for pid in coordinator.stdout.readline().split()]
+            finally:
+                # SIGKILL: no atexit handler gets to terminate the workers.
+                coordinator.kill()
+        assert len(pids) == 2, "the search ended before any shard started"
+        deadline = time.monotonic() + 5.0
+        while (any(process_alive(pid) for pid in pids)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if process_alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, "orphaned workers outlived their coordinator"
 
 
 class TestParallelCheckpointResume:

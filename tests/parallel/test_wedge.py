@@ -8,6 +8,8 @@ operator noticed.  These tests pin the recovery contract: silence past
 run.
 """
 
+import time
+
 import pytest
 
 from repro.chaos.faults import FaultPlan, FaultRule, fault_plan
@@ -19,8 +21,7 @@ from repro.workloads.dining import dining_philosophers
 def parallel_checker(observer=None, *, wedge_timeout=1.0):
     return Checker(dining_philosophers(2), depth_bound=60,
                    workers=2, shard_target=8, handle_signals=False,
-                   heartbeat_interval=0.05, wedge_timeout=wedge_timeout,
-                   observer=observer)
+                   wedge_timeout=wedge_timeout, observer=observer)
 
 
 class TestWedgeDetection:
@@ -84,3 +85,45 @@ class TestHealthyRunsUnaffected:
         assert observer.metrics.counter("workers.wedged").value == 0
         assert result.ok
         assert not any("wedged" in w for w in result.warnings)
+
+
+class StalledObserver(Observer):
+    """Sleeps 2 s in the first ``shard_started``: the workers keep
+    streaming while the coordinator reads nothing."""
+
+    stalled = False
+
+    def shard_started(self, shard, worker, description):
+        super().shard_started(shard, worker, description)
+        if not self.stalled:
+            self.stalled = True
+            time.sleep(2.0)
+
+
+@pytest.mark.chaos
+class TestKillWhileTheCoordinatorStalls:
+    def test_replacements_of_a_killed_worker_never_wedge(self):
+        """A worker SIGKILLed mid-send must not take a lock its
+        replacements need: every run merges the baseline totals and no
+        worker is ever found wedged."""
+
+        def checker(**kwargs):
+            return Checker(dining_philosophers(3), depth_bound=400,
+                           preemption_bound=2, handle_signals=False,
+                           **kwargs)
+
+        baseline = checker().run().exploration
+        plan = FaultPlan(rules=[FaultRule(point="worker.execution",
+                                          kind="worker-kill", at=400,
+                                          match={"worker": 0})])
+        for run in range(10):
+            observer = StalledObserver()
+            with fault_plan(plan):
+                merged = checker(workers=2, wedge_timeout=5.0,
+                                 observer=observer).run().exploration
+            assert observer.metrics.counter("workers.crashed").value >= 1
+            assert observer.metrics.counter("workers.wedged").value == 0, \
+                f"run {run}"
+            assert (merged.executions, merged.transitions) == \
+                (baseline.executions, baseline.transitions), f"run {run}"
+            assert merged.outcomes == baseline.outcomes, f"run {run}"
